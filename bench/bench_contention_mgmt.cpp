@@ -1,17 +1,16 @@
-// Contention-management sweep: CM policy (trivial backoff/yield/none vs. the
-// priority policies Karma and TimestampAging, each ± adaptive admission
-// control) × thread count, on a deliberately vicious workload — every
-// transaction writes, all keys hot. §7 attributes the design space's
-// livelock pathologies to the missing CM coupling; this bench quantifies
-// what the coupling buys: the throughput column shows the cost/benefit at
-// each concurrency level, and the attempts{p50,p99,max} columns show the
-// starvation story (the priority policies bound the tail; the trivial ones
-// only bound it if the irrevocable fallback gate is armed).
+// Contention-management sweep: inter-attempt policy (randomized exponential
+// backoff vs. immediate retry, the livelock ablation) x thread count, on a
+// deliberately vicious workload — every transaction writes, all keys hot.
+// §7 attributes the design space's livelock pathologies to weak CM
+// coupling; the throughput column shows what backoff buys at each
+// concurrency level, and the attempts{p50,p99,max} columns show the
+// starvation story. Neither policy bounds the tail by itself: --fallback=N
+// arms the irrevocable gate, which caps every call at N + 1 attempts on the
+// Lazy STM this bench runs.
 //
 // --json=<path> emits machine-readable records (bench_util/json.hpp) with
-// the full abort-reason breakdown, the attempt-histogram percentiles and
-// the backoff/cm/throttle wait totals; BENCH_STM.json tracks a merged
-// "pr5-contention" entry produced by this driver.
+// the full abort-reason breakdown, the attempt-histogram percentiles, the
+// backoff wait total and the gate holds.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,12 +47,6 @@ struct OptionedMap {
   void reset_stats() { stm.stats().reset(); }
 };
 
-struct PolicyVariant {
-  const char* tag;  // table/json name
-  stm::CmPolicy policy;
-  bool admission;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,34 +62,26 @@ int main(int argc, char** argv) {
       cli.get_pin_policy("pin", topo::PinPolicy::None));
   const bool use_min = cli.get("stat", "mean") == "min";
   const auto threads = cli.get_longs("threads", {1, 2, 4, 8, 16});
-  // 0 keeps the gate out of the comparison: the CM is then the only
-  // mechanism bounding the retry tail. Set e.g. --fallback=8 to measure the
-  // gate's serialization cost instead.
+  // 0 keeps the gate out of the comparison: nothing then bounds the retry
+  // tail. Set e.g. --fallback=16 to measure the gate's bound and its
+  // serialization cost.
   const auto fallback = static_cast<unsigned>(cli.get_long("fallback", 0));
 
-  const PolicyVariant variants[] = {
-      {"backoff", stm::CmPolicy::ExponentialBackoff, false},
-      {"yield", stm::CmPolicy::Yield, false},
-      {"none", stm::CmPolicy::None, false},
-      {"karma", stm::CmPolicy::Karma, false},
-      {"aging", stm::CmPolicy::TimestampAging, false},
-      {"karma+adm", stm::CmPolicy::Karma, true},
-      {"aging+adm", stm::CmPolicy::TimestampAging, true},
-  };
+  const stm::CmPolicy policies[] = {stm::CmPolicy::ExponentialBackoff,
+                                    stm::CmPolicy::None};
 
   std::printf("# Contention management under saturation: policy x threads "
               "(u=%.2f, o=%d, keys=%ld, fallback=%u)\n",
               cfg.write_fraction, cfg.ops_per_txn, cfg.key_range, fallback);
   Table table({"cm-policy", "t", "ms", "Kops/s", "abort%", "p50", "p99",
-               "max", "cm-killed", "throttled"});
+               "max"});
   JsonWriter json(cli.get("label", "pr5-contention"));
 
   for (long t : threads) {
-    for (const PolicyVariant& v : variants) {
+    for (const stm::CmPolicy policy : policies) {
       stm::StmOptions opts;
-      opts.cm_policy = v.policy;
+      opts.cm_policy = policy;
       opts.fallback_after = fallback;
-      opts.admission_control = v.admission;
       OptionedMap m(stm::Mode::Lazy, opts, 1024);
       prefill_half(m, cfg.key_range);
       cfg.threads = static_cast<int>(t);
@@ -106,20 +91,17 @@ int main(int argc, char** argv) {
       const double shown_ops_s = use_min ? r.ops_per_sec_min(cfg.total_ops)
                                          : r.ops_per_sec(cfg.total_ops);
       table.row(
-          {std::string(v.tag), std::to_string(t),
+          {std::string(stm::to_string(policy)), std::to_string(t),
            Table::fmt(use_min ? r.min_ms : r.mean_ms, 1),
            Table::fmt(shown_ops_s / 1e3, 0),
            Table::fmt(100.0 * r.abort_ratio(), 1),
            std::to_string(s.attempts_percentile(0.50)),
            std::to_string(s.attempts_percentile(0.99)),
-           std::to_string(s.max_attempts),
-           std::to_string(
-               s.aborts[static_cast<std::size_t>(stm::AbortReason::CmKilled)]),
-           std::to_string(s.throttle_waits)});
+           std::to_string(s.max_attempts)});
 
       JsonRecord rec;
       rec.bench = "contention_mgmt";
-      rec.workload = v.tag;
+      rec.workload = stm::to_string(policy);
       rec.mode = stm::to_string(stm::Mode::Lazy);
       rec.threads = static_cast<int>(t);
       rec.ops_per_txn = cfg.ops_per_txn;

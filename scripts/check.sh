@@ -27,8 +27,9 @@ echo "== chaos: deterministic fault-injection suites =="
 ctest --test-dir build --output-on-failure -L chaos
 
 echo "== cm: contention-management suites =="
-# Policy algebra, elder starvation recovery, admission control, watchdog,
-# and the CM x clock-scheme chaos matrix (same seed-replay contract).
+# Attempt histogram, the fallback gate's eligibility and attempt bound,
+# watchdog, and the gate x clock-scheme chaos matrix (same seed-replay
+# contract).
 ctest --test-dir build --output-on-failure -L cm
 
 echo "== mvcc: snapshot reads + epoch reclamation =="
@@ -80,7 +81,8 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target stm_concurrent_test core_map_concurrent_test \
   sync_test core_lock_test sync_stress_test chaos_test \
-  cm_test cm_chaos_test mvcc_test ebr_test read_fast_path_test
+  cm_test cm_chaos_test mvcc_test ebr_test read_fast_path_test \
+  wal_test chaos_fs_test checkpoint_test
 
 echo "== tsan: run =="
 # tsan.supp masks only the STM's validated-racy core (see the file header);
@@ -97,9 +99,9 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_stress_test
 # the sanitizer observes. A subset keeps the run inside the time budget.
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/chaos_test \
   --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:ChaosDeterminismTest.*'
-# Contention management under TSan: the doom/priority/elder protocol and the
-# admission controller are lock-free cross-thread state; the cm label runs
-# the whole surface (unit + chaos matrix) with the race detector watching.
+# Contention management under TSan: the fallback gate's shared/exclusive
+# handoff and the watchdog's stats snapshots race running transactions; the
+# cm label runs the whole surface (unit + chaos matrix).
 TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L cm
 # MVCC + EBR under TSan: snapshot readers traverse version chains that
 # writers concurrently push and truncate, and the EBR epoch protocol's
@@ -110,5 +112,10 @@ TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L mvcc
 # the only thing standing between that and a data race, so this is the suite
 # TSan earns its keep on.
 TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L fastpath
+# Durability under TSan: the group committer, strict waiters and the error
+# report share the failure state; the live-process suites run here, the
+# fork-based crash matrices stay on ASan (crash-matrix CI job).
+TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure \
+  -R '^(wal_test|chaos_fs_test|checkpoint_test)$'
 
 echo "== all checks passed =="

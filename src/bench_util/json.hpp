@@ -105,15 +105,9 @@ class JsonWriter {
                   r.stats.attempts_percentile(0.99)),
               static_cast<unsigned long long>(r.stats.max_attempts));
         }
-        if (r.stats.backoff_ns + r.stats.cm_wait_ns + r.stats.throttle_ns >
-            0) {
-          std::fprintf(f,
-                       ", \"wait_ns\": {\"backoff\": %llu, \"cm\": %llu, "
-                       "\"throttle\": %llu}, \"throttle_waits\": %llu",
-                       static_cast<unsigned long long>(r.stats.backoff_ns),
-                       static_cast<unsigned long long>(r.stats.cm_wait_ns),
-                       static_cast<unsigned long long>(r.stats.throttle_ns),
-                       static_cast<unsigned long long>(r.stats.throttle_waits));
+        if (r.stats.backoff_ns > 0) {
+          std::fprintf(f, ", \"wait_ns\": {\"backoff\": %llu}",
+                       static_cast<unsigned long long>(r.stats.backoff_ns));
         }
         if (r.stats.gate_holds > 0) {
           std::fprintf(f,

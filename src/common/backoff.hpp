@@ -1,6 +1,6 @@
-// Bounded randomized exponential backoff, used by the STM contention manager
-// and by the pessimistic lock-allocator policy when abstract-lock acquisition
-// times out.
+// Bounded randomized exponential backoff, used by the STM between retry
+// attempts (StmOptions::cm_policy) and by the pessimistic lock-allocator
+// policy when abstract-lock acquisition times out.
 #pragma once
 
 #include <chrono>
@@ -16,7 +16,7 @@ class Backoff {
   /// `yield_after` is the spin-vs-nap split: once the randomized window
   /// reaches it, every pause also surrenders the processor (spinning past
   /// that point starves the opponent on oversubscribed machines). The STM
-  /// exposes all three parameters through StmOptions.
+  /// uses the defaults.
   explicit Backoff(std::uint64_t seed = 1, std::uint32_t min_spins = 32,
                    std::uint32_t max_spins = 1u << 16,
                    std::uint32_t yield_after = 4096) noexcept

@@ -117,9 +117,9 @@ class PessimisticLap {
   using Clock = std::chrono::steady_clock;
 
   /// Passing `kDefaultTimeout` (the default) takes the acquisition timeout
-  /// from `stm.options().lap_timeout`, with optional per-thread jitter
-  /// (options().lap_timeout_jitter). An explicit timeout is used verbatim —
-  /// no jitter — so tests can pin exact timing through this path.
+  /// from `stm.options().lap_timeout`, with per-thread jitter. An explicit
+  /// timeout is used verbatim — no jitter — so tests can pin exact timing
+  /// through this path.
   static constexpr std::chrono::nanoseconds kDefaultTimeout{-1};
 
   PessimisticLap(stm::Stm& stm, std::size_t stripes,
@@ -148,11 +148,6 @@ class PessimisticLap {
   PessimisticLap& operator=(const PessimisticLap&) = delete;
 
   void acquire(stm::Txn& tx, const Key& key, bool write) {
-    // Honor a pending contention-manager abort request before joining a
-    // stripe's wait queue — dying here (holding nothing new) is cheaper
-    // than dying after a futex wait, and it is how a doomed transaction
-    // stuck behind abstract locks stays responsive to the CM.
-    tx.cm_poll();
     // Forced-timeout injection exercises the recovery path below without
     // waiting out a real timeout.
     if (tx.chaos_timeout_point(stm::ChaosPoint::LapAcquire)) {
@@ -162,13 +157,9 @@ class PessimisticLap {
     stm::TxnArena::LockHold& h = hold_for(tx, &lock);
     if (!lock.try_acquire(h.readers, h.writers, write, acquire_timeout())) {
       // Deadlock/timeout recovery: abort, drop all abstract locks (via the
-      // finish hook), back off, retry. The contention manager's lock
-      // arbiter (sync/cm_hook.hpp) can force this same path early while a
-      // starving elder is published.
+      // finish hook), back off, retry.
       tx.retry(stm::AbortReason::AbstractLockTimeout);
     }
-    // Watchdog diagnostics: how many distinct stripes this attempt holds.
-    tx.cm_note_stripes(static_cast<std::uint32_t>(tx.lock_holds().size()));
   }
 
   void post_op(stm::Txn&, const Key&, bool) {}  // locks are held to finish
@@ -224,20 +215,16 @@ class PessimisticLap {
   }
 
   void resolve_timeout(std::chrono::nanoseconds timeout) {
-    if (timeout == kDefaultTimeout) {
-      timeout_ = stm_->options().lap_timeout;
-      jitter_ = stm_->options().lap_timeout_jitter;
-    } else {
-      timeout_ = timeout;
-      jitter_ = false;
-    }
+    jitter_ = timeout == kDefaultTimeout;
+    timeout_ = jitter_ ? stm_->options().lap_timeout : timeout;
   }
 
-  /// The calling thread's effective acquisition timeout. With jitter on,
-  /// each registry slot gets a fixed point in [t − t/4, t + t/4]: symmetric
-  /// abstract-lock deadlocks are broken by both parties timing out, and
-  /// identical timeouts make them abort in lockstep and re-collide on the
-  /// retry, while jittered ones let one party win the second race.
+  /// The calling thread's effective acquisition timeout. With jitter on
+  /// (the default timeout), each registry slot gets a fixed point in
+  /// [t − t/4, t + t/4]: symmetric abstract-lock deadlocks are broken by
+  /// both parties timing out, and identical timeouts make them abort in
+  /// lockstep and re-collide on the retry, while jittered ones let one
+  /// party win the second race.
   std::chrono::nanoseconds acquire_timeout() const {
     if (!jitter_) return timeout_;
     std::uint64_t x = stm::ThreadRegistry::slot() + 1;

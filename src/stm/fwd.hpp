@@ -18,9 +18,6 @@ class Txn;
 class VarBase;
 class ChaosPolicy;
 class CommitFence;
-class ContentionManager;
-struct CmSlot;
-class CmState;
 class MvccState;
 struct StallReport;
 class Wal;
@@ -71,7 +68,6 @@ enum class AbortReason : std::uint8_t {
   FallbackGate,      // commit yielded to an in-flight irrevocable fallback
   Explicit,          // user called Txn::abort()
   ChaosInjected,     // spurious abort injected by the chaos policy
-  CmKilled,          // aborted on request of a higher-priority transaction
   MvccPromote,       // snapshot-mode attempt wrote after reading; retry as writer
   kCount,
 };
@@ -88,7 +84,6 @@ constexpr const char* to_string(AbortReason r) noexcept {
     case AbortReason::FallbackGate: return "fallback-gate";
     case AbortReason::Explicit: return "explicit";
     case AbortReason::ChaosInjected: return "chaos-injected";
-    case AbortReason::CmKilled: return "cm-killed";
     case AbortReason::MvccPromote: return "mvcc-promote";
     default: return "?";
   }

@@ -1,8 +1,7 @@
-// Runtime policy knobs for the STM: the contention-management policy applied
-// between retry attempts and at detected conflicts (§7 discusses how much CM
-// coupling matters), the global-version-clock scheme used by the commit path,
-// an optional serializing fallback that bounds retries under pathological
-// contention, adaptive admission control, and the progress-watchdog hooks.
+// Runtime policy knobs for the STM: the pause between retry attempts (§7's
+// livelock study turns on it), the global-version-clock scheme used by the
+// commit path, the serializing fallback gate that bounds retries under
+// pathological contention, and the progress-watchdog hook.
 #pragma once
 
 #include <chrono>
@@ -15,38 +14,22 @@
 
 namespace proust::stm {
 
-/// Contention management: what a transaction does after an aborted attempt,
-/// and — for the priority policies — how a detected conflict is arbitrated
-/// against the opposing transaction (wait / abort-self / request-abort, see
-/// stm/contention.hpp and DESIGN.md §10).
+/// Contention management: what a transaction does after an aborted attempt.
+/// Conflicts are always resolved requester-aborts, as in classic TL2; the
+/// irrevocable fallback gate (StmOptions::fallback_after) is the starvation
+/// bound (DESIGN.md §10).
 enum class CmPolicy : std::uint8_t {
   /// Randomized exponential backoff (default; what the evaluation uses).
-  /// Conflicts are resolved requester-aborts, as in classic TL2.
   ExponentialBackoff,
-  /// Surrender the processor once; no spinning. Good on oversubscribed
-  /// machines, poor when the opponent needs more than one quantum.
-  Yield,
-  /// Retry immediately. Maximal livelock exposure; useful as the ablation
-  /// baseline for the CM bench.
+  /// Retry immediately. Maximal livelock exposure; the ablation baseline
+  /// that bench_contention_mgmt measures backoff against.
   None,
-  /// Work-weighted priority ("Karma"): a transaction's accumulated reads +
-  /// writes across its aborted attempts raise its priority, so the side that
-  /// has invested more work wins conflicts. Ties wait briefly, then yield.
-  Karma,
-  /// Oldest-transaction-wins: priority is the call's first-attempt stamp, so
-  /// age strictly orders every pair of transactions and a starving one
-  /// eventually outranks all newcomers (per-transaction starvation bound —
-  /// see the elder protocol in DESIGN.md §10).
-  TimestampAging,
 };
 
 constexpr const char* to_string(CmPolicy p) noexcept {
   switch (p) {
     case CmPolicy::ExponentialBackoff: return "backoff";
-    case CmPolicy::Yield: return "yield";
     case CmPolicy::None: return "none";
-    case CmPolicy::Karma: return "karma";
-    case CmPolicy::TimestampAging: return "aging";
   }
   return "?";
 }
@@ -135,67 +118,19 @@ struct StmOptions {
   /// Ordinary commits take the gate in shared mode with try-lock semantics —
   /// failing the try-lock aborts the ordinary transaction rather than
   /// blocking it while it holds encounter-time locks, which keeps the
-  /// protocol deadlock-free. 0 disables the gate entirely (no per-commit
-  /// cost).
+  /// protocol deadlock-free — and hold it until the attempt has released
+  /// its locks. Under Mode::Lazy the gated attempt therefore meets no orec
+  /// lock, so every call finishes within fallback_after + 1 attempts
+  /// (DESIGN.md §10 lists the exceptions: encounter-time locks on the eager
+  /// modes, pessimistic abstract locks, LazyBump's clock lag). 0 disables
+  /// the gate entirely (no per-commit cost).
   unsigned fallback_after = 0;
 
   /// Budget for one irrevocable fallback attempt (gate-hold duration). The
   /// hold time is always recorded in stats (gate_ns / gate_max_ns); when the
   /// budget is nonzero, an overrunning hold is reported by the watchdog
-  /// while it is still in flight, and asserted on release in debug builds if
-  /// `fallback_budget_fatal` is also set. 0 = record but never judge.
+  /// while it is still in flight. 0 = record but never judge.
   std::chrono::nanoseconds fallback_budget{0};
-
-  /// Make a debug build abort() when a fallback attempt exceeds
-  /// `fallback_budget` (off by default so the watchdog reporting path is
-  /// testable without dying).
-  bool fallback_budget_fatal = false;
-
-  // --- Inter-attempt backoff shape (common/backoff.hpp) -------------------
-  /// Initial randomized spin window after the first abort.
-  std::uint32_t backoff_min_spins = 32;
-  /// Ceiling of the exponentially growing spin window.
-  std::uint32_t backoff_max_spins = 1u << 16;
-  /// Spin-vs-nap split: once the window reaches this, every pause also
-  /// yields the processor.
-  std::uint32_t backoff_yield_after = 4096;
-
-  // --- Priority contention management (Karma / TimestampAging) ------------
-  /// Bounded wait at a lock conflict the arbitration decided to sit out
-  /// (opponent is weaker, or tie): rounds of ~16 relaxed spins, with a
-  /// yield every 16th round, before giving up and aborting self.
-  unsigned cm_wait_rounds = 128;
-  /// Eligible (non-chaos) aborted attempts after which a transaction
-  /// requests starvation recovery: it publishes itself as the STM's "elder"
-  /// and committers defer to it briefly (see cm_elder_yield). Bounds the
-  /// attempt count of any transaction without taking the global gate.
-  unsigned cm_elder_after = 16;
-  /// How long a committing transaction defers to a published elder before
-  /// proceeding anyway. Bounded, so a wedged elder cannot stall commits the
-  /// way the irrevocable gate can.
-  std::chrono::nanoseconds cm_elder_yield = std::chrono::microseconds(250);
-  /// Publish per-slot priority/diagnostic state even under the trivial
-  /// policies (backoff/yield/none). Required for the progress watchdog's
-  /// per-slot stall reports when no priority CM is active; the priority
-  /// policies always track.
-  bool cm_progress_tracking = false;
-
-  // --- Adaptive admission control ------------------------------------------
-  /// Gate new top-level transactions through a token counter whose size
-  /// adapts to the sliding-window commit/abort ratio: past admission_high
-  /// the token count halves (shed effective parallelism instead of
-  /// livelocking), below admission_low it creeps back up. Off by default.
-  bool admission_control = false;
-  /// Attempts (commits + aborts) per adaptation window.
-  unsigned admission_window = 512;
-  /// Window abort ratio above which the token count is halved.
-  double admission_high = 0.55;
-  /// Window abort ratio below which the token count is incremented.
-  double admission_low = 0.25;
-  /// Floor of the token count (never shed below this concurrency).
-  unsigned admission_min_tokens = 2;
-  /// Ceiling of the token count; 0 = one per registry slot (uncapped).
-  unsigned admission_max_tokens = 0;
 
   /// Invoked by a Watchdog (stm/watchdog.hpp) when it detects a stalled
   /// commit epoch or a gate-budget overrun. Called from the watchdog thread;
@@ -205,16 +140,10 @@ struct StmOptions {
   /// Abstract-lock acquisition timeout used by pessimistic LAPs constructed
   /// without an explicit timeout. Timing out is the runtime's abstract-lock
   /// deadlock recovery: the transaction aborts, releases everything, backs
-  /// off and retries.
+  /// off and retries. Each registry slot applies a fixed ±25% jitter so
+  /// symmetric deadlocks do not abort in lockstep and re-collide; LAPs
+  /// constructed with an explicit timeout use it verbatim.
   std::chrono::nanoseconds lap_timeout = std::chrono::milliseconds(2);
-
-  /// Apply ±25% per-thread jitter to `lap_timeout` (fixed per registry
-  /// slot). Symmetric deadlocks are recovered by both parties timing out;
-  /// identical timeouts make them abort in lockstep and re-collide on the
-  /// retry, while jittered ones let one party win the second race. LAPs
-  /// constructed with an explicit timeout are exempt (tests pin exact
-  /// timeout behavior through that path).
-  bool lap_timeout_jitter = true;
 
   // --- Topology awareness (common/topology.hpp, DESIGN.md §13) -------------
   /// Pin each registry slot's thread to a CPU on its first top-level

@@ -17,18 +17,11 @@
 namespace proust::stm {
 
 /// Published while an orec is locked; stable address inside the owning
-/// transaction's write set.
-///
-/// `owner` may only be dereferenced by the owner itself (Txn lives on its
-/// thread's stack); a *foreign* transaction that lost the try_lock race
-/// identifies the opponent by `owner_slot` instead — the record lives in
-/// arena memory that outlives the attempt, so a racy read of the slot is
-/// safe (at worst stale) and indexes the contention manager's per-slot
-/// priority table without touching foreign stack state.
+/// transaction's write set. Foreign transactions only compare `owner`
+/// against themselves; they never dereference it.
 struct LockRecord {
   Txn* owner = nullptr;
   Version old_version = 0;
-  std::uint32_t owner_slot = 0;
 };
 
 class Orec {

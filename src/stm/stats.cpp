@@ -60,10 +60,7 @@ std::string StatsSnapshot::to_string() const {
        << " p99=" << attempts_percentile(0.99) << " max=" << max_attempts
        << "}";
   }
-  if (backoff_ns + cm_wait_ns + throttle_ns > 0) {
-    os << " wait{backoff=" << backoff_ns << "ns cm=" << cm_wait_ns
-       << "ns throttle=" << throttle_ns << "ns}";
-  }
+  if (backoff_ns > 0) os << " wait{backoff=" << backoff_ns << "ns}";
   if (gate_holds > 0) {
     os << " gate{holds=" << gate_holds << " total=" << gate_ns
        << "ns max=" << gate_max_ns << "ns}";
@@ -133,9 +130,6 @@ StatsSnapshot Stats::snapshot() const {
     }
     s.max_attempts = std::max(s.max_attempts, ld(c.max_attempts));
     s.backoff_ns += ld(c.backoff_ns);
-    s.cm_wait_ns += ld(c.cm_wait_ns);
-    s.throttle_ns += ld(c.throttle_ns);
-    s.throttle_waits += ld(c.throttle_waits);
     s.gate_holds += ld(c.gate_holds);
     s.gate_ns += ld(c.gate_ns);
     s.gate_max_ns = std::max(s.gate_max_ns, ld(c.gate_max_ns));
@@ -169,9 +163,6 @@ void Stats::reset() {
     for (auto& h : c.attempts_hist) st(h, 0);
     st(c.max_attempts, 0);
     st(c.backoff_ns, 0);
-    st(c.cm_wait_ns, 0);
-    st(c.throttle_ns, 0);
-    st(c.throttle_waits, 0);
     st(c.gate_holds, 0);
     st(c.gate_ns, 0);
     st(c.gate_max_ns, 0);

@@ -50,13 +50,8 @@ struct StatsSnapshot {
   std::array<std::uint64_t, kAttemptBuckets> attempts_hist{};
   std::uint64_t max_attempts = 0;
 
-  /// Cumulative wait time, in nanoseconds, split by where it was spent:
-  /// inter-attempt backoff pauses, bounded contention-manager waits at
-  /// conflicts (incl. elder deference), and admission-control throttling.
+  /// Cumulative inter-attempt backoff pause time, in nanoseconds.
   std::uint64_t backoff_ns = 0;
-  std::uint64_t cm_wait_ns = 0;
-  std::uint64_t throttle_ns = 0;
-  std::uint64_t throttle_waits = 0;  // admit() calls that had to block
 
   /// Irrevocable-fallback gate holds: count, total and worst hold time.
   std::uint64_t gate_holds = 0;
@@ -114,9 +109,6 @@ class Stats {
     std::array<std::uint64_t, kAttemptBuckets> attempts_hist{};
     std::uint64_t max_attempts = 0;
     std::uint64_t backoff_ns = 0;
-    std::uint64_t cm_wait_ns = 0;
-    std::uint64_t throttle_ns = 0;
-    std::uint64_t throttle_waits = 0;
     std::uint64_t gate_holds = 0;
     std::uint64_t gate_ns = 0;
     std::uint64_t gate_max_ns = 0;
@@ -174,13 +166,6 @@ class Stats {
     }
     void count_backoff_ns(std::uint64_t ns) noexcept {
       bump(c_->backoff_ns, ns);
-    }
-    void count_cm_wait_ns(std::uint64_t ns) noexcept {
-      bump(c_->cm_wait_ns, ns);
-    }
-    void count_throttle_ns(std::uint64_t ns) noexcept {
-      bump(c_->throttle_ns, ns);
-      bump(c_->throttle_waits);
     }
     void count_gate_hold_ns(std::uint64_t ns) noexcept {
       bump(c_->gate_holds);

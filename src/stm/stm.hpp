@@ -23,7 +23,6 @@
 #include "common/backoff.hpp"
 #include "common/topology.hpp"
 #include "stm/commit_fence.hpp"
-#include "stm/contention.hpp"
 #include "stm/fwd.hpp"
 #include "stm/mvcc.hpp"
 #include "stm/options.hpp"
@@ -36,9 +35,7 @@ namespace proust::stm {
 class Stm {
  public:
   explicit Stm(Mode mode = Mode::Lazy, StmOptions options = {})
-      : mode_(mode), options_(options),
-        cm_(make_contention_manager(options_, cm_state_)), id_(next_id()) {
-    admission_.configure(options_);
+      : mode_(mode), options_(options), id_(next_id()) {
     if (options_.mvcc) {
       mvcc_ = std::make_unique<MvccState>(ThreadRegistry::kMaxSlots,
                                           options_.numa_placement);
@@ -63,12 +60,6 @@ class Stm {
   Mode mode() const noexcept { return mode_; }
   const StmOptions& options() const noexcept { return options_; }
   Stats& stats() noexcept { return stats_; }
-
-  /// The contention-management subsystem (stm/contention.hpp): the policy
-  /// object, the per-slot priority table, and the admission controller.
-  ContentionManager& cm() noexcept { return *cm_; }
-  CmState& cm_state() noexcept { return cm_state_; }
-  AdmissionController& admission() noexcept { return admission_; }
 
   /// Multi-version snapshot state, or nullptr when StmOptions::mvcc is off
   /// (the Txn hot paths branch on this pointer exactly once).
@@ -171,12 +162,11 @@ class Stm {
     return ++c.next;
   }
 
-  /// Run `body(Txn&)` atomically, retrying on conflict under the configured
-  /// contention manager. Re-entrant calls on the same thread join the
-  /// enclosing transaction (flat nesting). User exceptions abort the
-  /// transaction (inverses/finish hooks run) and propagate. When admission
-  /// control is enabled, new top-level calls may be throttled here before
-  /// their first attempt.
+  /// Run `body(Txn&)` atomically, retrying on conflict after the configured
+  /// inter-attempt pause (StmOptions::cm_policy). Re-entrant calls on the
+  /// same thread join the enclosing transaction (flat nesting). User
+  /// exceptions abort the transaction (inverses/finish hooks run) and
+  /// propagate.
   template <class F>
   auto atomically(F&& body) -> std::invoke_result_t<F&, Txn&> {
     return atomically_impl(std::forward<F>(body), /*declared_ro=*/false);
@@ -211,21 +201,13 @@ class Stm {
     Txn tx(*this);
     if (!pin_plan_.empty()) maybe_pin(tx.slot());
     if (declared_ro && mvcc_ != nullptr) tx.mvcc_declared_ = true;
-    if (admission_.enabled()) {
-      // Throttle before the first attempt: nothing transactional is held
-      // yet, so blocking here sheds load without any deadlock exposure.
-      const std::uint64_t waited = admission_.admit();
-      if (waited != 0) stats_.counters(tx.slot()).count_throttle_ns(waited);
-    }
-    // Per-call bookkeeping that must run on every exit path, including a
-    // propagating user exception: the attempts histogram and the admission
-    // token.
+    // The attempts histogram counts every call, including one that ends in
+    // a propagating user exception.
     struct CallGuard {
       Stm* stm;
       Txn* tx;
       ~CallGuard() {
         stm->stats_.counters(tx->slot()).count_call(tx->attempt());
-        if (stm->admission_.enabled()) stm->admission_.release();
       }
     } call_guard{this, &tx};
     // Seed from the thread slot as well as the stack address: stacks are
@@ -233,9 +215,7 @@ class Stm {
     // sibling threads correlated backoff sequences.
     Backoff backoff(0x7265747279ULL ^
                         (reinterpret_cast<std::uintptr_t>(&tx) >> 4) ^
-                        (std::uint64_t{tx.slot()} * 0x9E3779B97F4A7C15ULL),
-                    options_.backoff_min_spins, options_.backoff_max_spins,
-                    options_.backoff_yield_after);
+                        (std::uint64_t{tx.slot()} * 0x9E3779B97F4A7C15ULL));
     for (;;) {
       // Irrevocable fallback: past the threshold of *eligible* attempts
       // (injected chaos aborts do not count), hold the commit gate
@@ -257,13 +237,11 @@ class Stm {
           body(tx);
           tx.commit();
           if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
-          if (admission_.enabled()) admission_.note_outcome(true);
           return;
         } else {
           R result = body(tx);
           tx.commit();
           if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
-          if (admission_.enabled()) admission_.note_outcome(true);
           return result;
         }
       } catch (const ConflictAbort& a) {
@@ -271,7 +249,6 @@ class Stm {
         if (exclusive_gate.owns_lock()) exclusive_gate.unlock();
         if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
         tx.set_gate_exempt(false);
-        if (admission_.enabled()) admission_.note_outcome(false);
         pause_between_attempts(tx.slot(), backoff);
       } catch (...) {
         tx.rollback(AbortReason::Explicit);
@@ -280,7 +257,6 @@ class Stm {
         // after a user exception must not inherit stale fallback state. The
         // exclusive gate itself is released by exclusive_gate's destructor.
         tx.set_gate_exempt(false);
-        if (admission_.enabled()) admission_.note_outcome(false);
         throw;
       }
     }
@@ -303,29 +279,21 @@ class Stm {
             .count());
   }
 
-  /// Inter-attempt pause, delegated to the contention manager. Timed into
-  /// stats except under CmPolicy::None, whose whole point is a zero-cost
-  /// immediate retry.
+  /// Inter-attempt pause: randomized exponential backoff, timed into
+  /// stats. CmPolicy::None retries immediately (the livelock ablation).
   void pause_between_attempts(unsigned slot, Backoff& backoff) {
     if (options_.cm_policy == CmPolicy::None) return;
     const std::uint64_t t0 = steady_now_ns();
-    cm_->pause(backoff);
+    backoff.pause();
     stats_.counters(slot).count_backoff_ns(steady_now_ns() - t0);
   }
 
-  /// Close out one irrevocable-fallback hold: record the duration, clear
-  /// the watchdog-visible publication, and (optionally, debug builds only)
-  /// die on a budget overrun.
+  /// Close out one irrevocable-fallback hold: record the duration and clear
+  /// the watchdog-visible publication.
   void finish_gate_hold(unsigned slot, std::uint64_t t0) noexcept {
-    const std::uint64_t held = steady_now_ns() - t0;
     gate_entered_ns_.store(0, std::memory_order_release);
     gate_holder_.store(~0u, std::memory_order_relaxed);
-    stats_.counters(slot).count_gate_hold_ns(held);
-    if (options_.fallback_budget.count() > 0 && options_.fallback_budget_fatal) {
-      assert(held <= static_cast<std::uint64_t>(
-                         options_.fallback_budget.count()) &&
-             "irrevocable fallback attempt exceeded its configured budget");
-    }
+    stats_.counters(slot).count_gate_hold_ns(steady_now_ns() - t0);
   }
 
   /// Stamps handed out per thread slot; padded so neighbouring slots never
@@ -376,9 +344,6 @@ class Stm {
   StmOptions options_;
   Stats stats_;
   std::shared_mutex gate_;
-  CmState cm_state_;
-  std::unique_ptr<ContentionManager> cm_;
-  AdmissionController admission_;
   std::unique_ptr<MvccState> mvcc_;
   std::atomic<std::uint64_t> gate_entered_ns_{0};
   std::atomic<std::uint32_t> gate_holder_{~0u};

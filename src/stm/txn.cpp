@@ -5,13 +5,11 @@
 #include <exception>
 #include <shared_mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/backoff.hpp"
 #include "common/ebr.hpp"
 #include "stm/chaos.hpp"
 #include "stm/commit_fence.hpp"
-#include "stm/contention.hpp"
 #include "stm/mvcc.hpp"
 #include "stm/stm.hpp"
 #include "stm/wal.hpp"
@@ -50,10 +48,6 @@ Txn::Txn(Stm& stm)
          "arena not reset by the previous transaction");
   assert(ebr::debug_guard_depth() == 0 &&
          "EBR guard leaked into a transaction");
-  if (stm.cm().tracking()) {
-    cm_ = &stm.cm();
-    cm_cell_ = &stm.cm_state().slot(slot_);
-  }
   optimistic_reads_ = stm.options().optimistic_reads;
   wal_ = stm.options().durability;
   tls_current = this;
@@ -61,7 +55,6 @@ Txn::Txn(Stm& stm)
 
 Txn::~Txn() {
   assert(!active_ && "transaction destroyed while active");
-  cm_end_call();
   tls_current = nullptr;
 }
 
@@ -89,141 +82,6 @@ void Txn::begin() {
     snapshot_reads_ = 0;
   }
   stats_.count_start();
-  if (cm_cell_ != nullptr) [[unlikely]] cm_begin_attempt();
-}
-
-void Txn::cm_begin_attempt() {
-  CmState& st = stm_.cm_state();
-  if (cm_token_ == 0) {
-    // First attempt of this call: mint the call-unique birth stamp and
-    // activate the cell. Any doom left over from the slot's previous call
-    // is stale by construction (tokens are unique) but cleared anyway so
-    // the fast-path doom poll stays a compare-against-zero.
-    cm_token_ = st.next_birth();
-    cm_cell_->doom.store(0, std::memory_order_relaxed);
-    cm_cell_->birth.store(cm_token_, std::memory_order_relaxed);
-    cm_cell_->token.store(cm_token_, std::memory_order_release);
-  }
-  const unsigned elder_after = stm_.options().cm_elder_after;
-  if (elder_after != 0 && eligible_attempts_ >= elder_after) {
-    st.publish_elder(slot_);
-  }
-  // The published elder (and the irrevocable fallback attempt) runs at the
-  // strongest priority: everyone else's arbitration yields to it, which is
-  // what makes its recovery window converge.
-  const bool boosted = gate_exempt_ || st.elder() == slot_ + 1;
-  cm_pri_ = boosted ? 0 : cm_->priority(cm_token_, karma_);
-  cm_cell_->priority.store(cm_pri_, std::memory_order_release);
-  cm_cell_->attempts.store(attempt_, std::memory_order_relaxed);
-  cm_cell_->stripes.store(0, std::memory_order_relaxed);
-}
-
-void Txn::cm_end_call() noexcept {
-  if (cm_cell_ == nullptr) return;
-  stm_.cm_state().clear_elder(slot_);
-  cm_cell_->token.store(0, std::memory_order_release);
-  cm_cell_->priority.store(kCmIdlePriority, std::memory_order_relaxed);
-  cm_cell_->doom.store(0, std::memory_order_relaxed);
-  cm_cell_->attempts.store(0, std::memory_order_relaxed);
-  cm_cell_->stripes.store(0, std::memory_order_relaxed);
-}
-
-void Txn::cm_note_stripes(std::uint32_t n) noexcept {
-  if (cm_cell_ != nullptr) {
-    cm_cell_->stripes.store(n, std::memory_order_relaxed);
-  }
-}
-
-void Txn::cm_check_doom() {
-  // The irrevocable fallback never yields: its priority is 0 so nobody
-  // should doom it, and a stale request must not unwind an attempt the
-  // gate guarantees will succeed.
-  if (gate_exempt_) return;
-  const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
-  if (d == 0) [[likely]] return;
-  cm_cell_->doom.store(0, std::memory_order_relaxed);
-  if (d == cm_token_) throw ConflictAbort{AbortReason::CmKilled};
-  // A mismatched token targeted a previous call of this slot; drop it.
-}
-
-bool Txn::cm_lock_conflict(const Orec& orec) {
-  if (cm_cell_ == nullptr) return false;
-  cm_check_doom();  // the opponent may have asked *us* to die first
-  const std::uintptr_t w = orec.load();
-  if (!Orec::is_locked(w)) return true;  // drained while we got here
-  const std::uint32_t opp = Orec::owner_of(w)->owner_slot;
-  if (opp == slot_ || opp >= ThreadRegistry::kMaxSlots) return false;
-  CmState& st = stm_.cm_state();
-  CmSlot& opp_cell = st.slot(opp);
-  const std::uint64_t opp_pri =
-      opp_cell.priority.load(std::memory_order_acquire);
-  const CmDecision decision = cm_->arbitrate(cm_pri_, opp_pri);
-  if (decision == CmDecision::kAbortSelf) return false;
-  if (decision == CmDecision::kAbortOther) {
-    const std::uint64_t opp_token =
-        opp_cell.token.load(std::memory_order_acquire);
-    // Doom only while the orec is still held by the record we sampled —
-    // this narrows (not closes) the window in which the opponent's call
-    // ends and the slot starts a new one; tokens are call-unique, so the
-    // worst residual outcome is a stale doom the new call discards.
-    if (opp_token != 0 && orec.load() == w) {
-      opp_cell.doom.store(opp_token, std::memory_order_release);
-    }
-  }
-  // Bounded wait for the lock to drain — the doomed opponent polls at its
-  // next read/write/commit gate and releases on abort; a kWait opponent
-  // (tie) finishes on its own or we give up. Never unbounded: cm_wait_rounds
-  // caps the wait, and a doom aimed at us mid-wait aborts us immediately.
-  const unsigned rounds = stm_.options().cm_wait_rounds;
-  const std::uint64_t t0 = now_ns();
-  for (unsigned r = 0; r < rounds; ++r) {
-    for (int i = 0; i < 16; ++i) Backoff::cpu_relax();
-    if ((r & 15u) == 15u) std::this_thread::yield();
-    if (!Orec::is_locked(orec.load())) {
-      stats_.count_cm_wait_ns(now_ns() - t0);
-      return true;
-    }
-    const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
-    if (d == cm_token_ && !gate_exempt_) {
-      cm_cell_->doom.store(0, std::memory_order_relaxed);
-      stats_.count_cm_wait_ns(now_ns() - t0);
-      throw ConflictAbort{AbortReason::CmKilled};
-    }
-  }
-  stats_.count_cm_wait_ns(now_ns() - t0);
-  return false;
-}
-
-void Txn::cm_commit_entry() {
-  cm_check_doom();
-  if (gate_exempt_) return;
-  CmState& st = stm_.cm_state();
-  const unsigned elder = st.elder();
-  if (elder == 0 || elder == slot_ + 1) return;
-  const std::uint64_t elder_pri =
-      st.slot(elder - 1).priority.load(std::memory_order_acquire);
-  if (cm_pri_ <= elder_pri) return;  // we are at least as starved
-  // A starving elder is published: defer this commit briefly (sleeping, so
-  // on a saturated machine the elder actually gets the cycles) instead of
-  // racing it for orecs and the clock. Bounded by cm_elder_yield — a wedged
-  // elder can slow commits, never stop them — and aborted early if the
-  // elder dooms us (we may hold encounter-time locks it needs).
-  const auto deadline =
-      std::chrono::steady_clock::now() + stm_.options().cm_elder_yield;
-  const std::uint64_t t0 = now_ns();
-  while (std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-    if (st.elder() != elder) break;  // the elder finished; window over
-    const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
-    if (d != 0) {
-      cm_cell_->doom.store(0, std::memory_order_relaxed);
-      if (d == cm_token_) {
-        stats_.count_cm_wait_ns(now_ns() - t0);
-        throw ConflictAbort{AbortReason::CmKilled};
-      }
-    }
-  }
-  stats_.count_cm_wait_ns(now_ns() - t0);
 }
 
 std::uint64_t Txn::fresh_stamp() noexcept { return stm_.next_stamp(slot_); }
@@ -251,7 +109,6 @@ detail::WriteEntry& Txn::new_write(VarBase* var) {
   // protocols read (the ValBufs keep their capacity on purpose).
   e.var = var;
   e.lock.owner = this;
-  e.lock.owner_slot = slot_;
   e.lock.old_version = 0;
   e.locked = false;
   e.has_redo = false;
@@ -290,15 +147,12 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
   stats_.count_read();
   if (mvcc_reader_) [[unlikely]] {
     // Snapshot mode: no read set, no validation, no conflict aborts. The
-    // chaos gate stays (injected aborts must exercise the reader unwind
-    // too); the doom poll does not — snapshot readers hold nothing a writer
-    // could be waiting on, so they are exempt from contention management.
+    // chaos gate stays: injected aborts must exercise the reader unwind too.
     chaos_point(ChaosPoint::TxnRead);
     mvcc_read(var, dst, size);
     return;
   }
   chaos_point(ChaosPoint::TxnRead);
-  cm_poll();
 
   if (detail::WriteEntry* e = find_write(&var)) {
     if (mode_ == Mode::Lazy) {
@@ -315,7 +169,6 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
 
   if (mode_ == Mode::EagerAll) mark_reader(const_cast<VarBase&>(var));
 
-  int cm_retries = 4;
   for (int spin = 0; spin < 4; ++spin) {
     const std::uintptr_t w = var.orec_.load();
     if (Orec::is_locked(w)) {
@@ -323,14 +176,7 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
         std::memcpy(dst, var.data_, size);
         return;
       }
-      // Foreign lock: let the contention manager arbitrate before aborting.
-      // A drained lock re-runs the read from scratch (bounded restarts —
-      // a livelocking orec must eventually abort us, not spin us).
-      if (cm_retries-- > 0 && cm_lock_conflict(var.orec_)) {
-        spin = -1;
-        continue;
-      }
-      throw ConflictAbort{AbortReason::ReadLocked};
+      throw ConflictAbort{AbortReason::ReadLocked};  // requester aborts
     }
     std::memcpy(dst, var.data_, size);
     std::atomic_thread_fence(std::memory_order_acquire);
@@ -368,7 +214,6 @@ void Txn::read_validate_impl(const VarBase& var) {
   if (mvcc_reader_) [[unlikely]] mvcc_promote();
   if (mvcc_state_ != nullptr) [[unlikely]] mvcc_ineligible_ = true;
   chaos_point(ChaosPoint::TxnRead);
-  cm_poll();
 
   if (mode_ == Mode::EagerAll) {
     // Visible readers: publish the bit; a conflicting committer would have
@@ -377,39 +222,27 @@ void Txn::read_validate_impl(const VarBase& var) {
     // the location to be unchanged since the pinned read version: the
     // shadow copy, unlike an in-place read, does not track current state.
     mark_reader(const_cast<VarBase&>(var));
-    for (int tries = 0;; ++tries) {
-      const std::uintptr_t w = var.orec_.load();
-      if (Orec::is_locked(w)) {
-        const LockRecord* rec = Orec::owner_of(w);
-        if (rec->owner != this) {
-          if (tries < 4 && cm_lock_conflict(var.orec_)) continue;
-          throw ConflictAbort{AbortReason::ReadLocked};
-        }
-        if (snapshot_frozen_ && rec->old_version > rv_) {
-          note_version_ahead(rec->old_version);
-          throw ConflictAbort{AbortReason::ReadVersion};
-        }
-      } else if (snapshot_frozen_ && Orec::version_of(w) > rv_) {
-        note_version_ahead(Orec::version_of(w));
+    const std::uintptr_t w = var.orec_.load();
+    if (Orec::is_locked(w)) {
+      const LockRecord* rec = Orec::owner_of(w);
+      if (rec->owner != this) throw ConflictAbort{AbortReason::ReadLocked};
+      if (snapshot_frozen_ && rec->old_version > rv_) {
+        note_version_ahead(rec->old_version);
         throw ConflictAbort{AbortReason::ReadVersion};
       }
-      return;
+    } else if (snapshot_frozen_ && Orec::version_of(w) > rv_) {
+      note_version_ahead(Orec::version_of(w));
+      throw ConflictAbort{AbortReason::ReadVersion};
     }
+    return;
   }
 
-  int cm_retries = 4;
   for (int spin = 0; spin < 4; ++spin) {
     const std::uintptr_t w = var.orec_.load();
     Version ver;
     if (Orec::is_locked(w)) {
       const LockRecord* rec = Orec::owner_of(w);
-      if (rec->owner != this) {
-        if (cm_retries-- > 0 && cm_lock_conflict(var.orec_)) {
-          spin = -1;
-          continue;
-        }
-        throw ConflictAbort{AbortReason::ReadLocked};
-      }
+      if (rec->owner != this) throw ConflictAbort{AbortReason::ReadLocked};
       ver = rec->old_version;  // committed version displaced by our own lock
     } else {
       ver = Orec::version_of(w);
@@ -435,7 +268,6 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
   stats_.count_write();
   if (mvcc_reader_) [[unlikely]] mvcc_promote();
   if (mvcc_state_ != nullptr) [[unlikely]] mvcc_ineligible_ = true;
-  cm_poll();
 
   if (detail::WriteEntry* e = find_write(&var)) {
     if (mode_ == Mode::Lazy) {
@@ -454,16 +286,11 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
     return;
   }
 
-  // Eager modes: encounter-time lock acquisition. The base policy is
-  // requester-aborts (abort-on-busy keeps the protocol deadlock-free); a
-  // priority contention manager may instead doom a weaker owner or sit out
-  // a bounded wait before the abort (cm_lock_conflict).
+  // Eager modes: encounter-time lock acquisition, requester-aborts
+  // (abort-on-busy keeps the protocol deadlock-free).
   chaos_point(ChaosPoint::CommitLock);
-  int cm_retries = 4;
-  while (!var.orec_.try_lock(&e.lock)) {
-    if (cm_retries-- <= 0 || !cm_lock_conflict(var.orec_)) {
-      throw ConflictAbort{AbortReason::WriteLocked};
-    }
+  if (!var.orec_.try_lock(&e.lock)) {
+    throw ConflictAbort{AbortReason::WriteLocked};
   }
   e.locked = true;
   if (mode_ == Mode::EagerAll) {
@@ -698,9 +525,9 @@ void Txn::commit() {
          "EBR guard held across a transaction boundary");
 
   // Snapshot readers commit unconditionally: no locks were taken, no
-  // validation is owed (every read came from the pinned snapshot), and
-  // neither the contention manager nor the fallback gate applies — a
-  // snapshot reader holds nothing any writer can be waiting on.
+  // validation is owed (every read came from the pinned snapshot), and the
+  // fallback gate does not apply — a snapshot reader holds nothing any
+  // writer can be waiting on.
   if (mvcc_reader_) [[unlikely]] {
     assert(arena_.writes.empty() && arena_.commit_locked_hooks.empty());
     assert(arena_.seq_reads.empty() && arena_.fence_reads.empty() &&
@@ -719,16 +546,15 @@ void Txn::commit() {
   // the ordinary user-exception path.
   if (wal_ != nullptr) [[unlikely]] wal_check_available();
 
-  if (cm_cell_ != nullptr) [[unlikely]] cm_commit_entry();
-
   // Fallback gate (when enabled): ordinary commits take the shared side
   // with try-lock semantics; blocking here while holding encounter-time
-  // locks could deadlock against the exclusive (fallback) holder.
-  std::shared_lock<std::shared_mutex> gate_guard;
+  // locks could deadlock against the exclusive (fallback) holder. The guard
+  // is a member, released only when the attempt is torn down: a commit
+  // that fails past this point still holds its orec locks until rollback().
   if (stm_.gate_enabled() && !gate_exempt_) {
-    gate_guard = std::shared_lock<std::shared_mutex>(stm_.gate(),
-                                                     std::try_to_lock);
-    if (!gate_guard.owns_lock()) {
+    gate_guard_ = std::shared_lock<std::shared_mutex>(stm_.gate(),
+                                                      std::try_to_lock);
+    if (!gate_guard_.owns_lock()) {
       throw ConflictAbort{AbortReason::FallbackGate};
     }
   }
@@ -757,19 +583,14 @@ void Txn::commit() {
 
   const std::size_t nwrites = arena_.writes.size();
   if (mode_ == Mode::Lazy) {
-    // Commit-time locking, arbitrary order, abort-on-busy (deadlock-free;
-    // a priority CM may arbitrate a lost race first — cm_lock_conflict —
-    // which can only shorten the conflict, never block unboundedly).
-    int cm_retries = 4;
+    // Commit-time locking, arbitrary order, abort-on-busy (deadlock-free).
     for (std::size_t i = 0; i < nwrites; ++i) {
       detail::WriteEntry& e = arena_.writes[i];
       // Injected aborts mid-loop leave a partially locked write set; the
       // rollback path must release exactly the acquired prefix.
       chaos_point(ChaosPoint::CommitLock);
-      while (!e.var->orec_.try_lock(&e.lock)) {
-        if (cm_retries-- <= 0 || !cm_lock_conflict(e.var->orec_)) {
-          throw ConflictAbort{AbortReason::WriteLocked};
-        }
+      if (!e.var->orec_.try_lock(&e.lock)) {
+        throw ConflictAbort{AbortReason::WriteLocked};
       }
       e.locked = true;
     }
@@ -999,14 +820,6 @@ void Txn::rollback(AbortReason reason) noexcept {
       mvcc_try_snapshot_ = true;
     }
   }
-  if (cm_cell_ != nullptr) {
-    // Karma: work this aborted attempt performed and will redo. Counted
-    // from the attempt's logs (free — no per-access counter): read set +
-    // write set + visible-reader marks (EagerAll logs no reads).
-    karma_ += arena_.reads.size() + arena_.writes.size() +
-              arena_.reader_marks.size();
-  }
-
   // Proust inverse operations: reverse order, while this transaction's STM
   // locks (covering its conflict-abstraction locations) are still held. A
   // throwing inverse cannot be propagated from this noexcept unwind path;
@@ -1126,6 +939,7 @@ void Txn::chaos_delay_only(ChaosPoint p) noexcept {
 }
 
 void Txn::reset_attempt_state() noexcept {
+  if (gate_guard_.owns_lock()) gate_guard_.unlock();
   arena_.reset_attempt();
   write_bloom_ = 0;
   write_table_on_ = false;

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <shared_mutex>
 #include <utility>
 
 #include "stm/fwd.hpp"
@@ -69,8 +70,7 @@ class Txn {
   unsigned attempt() const noexcept { return attempt_; }
   /// Attempts aborted for a reason the retry policy may act on. Injected
   /// chaos aborts (AbortReason::ChaosInjected) are excluded, so fault-
-  /// injection runs can neither trip the irrevocable fallback nor promote a
-  /// transaction to elder spuriously.
+  /// injection runs cannot trip the irrevocable fallback spuriously.
   unsigned eligible_attempts() const noexcept { return eligible_attempts_; }
 
   /// Typed transactional accessors (the public read/write API).
@@ -270,23 +270,6 @@ class Txn {
   /// The active fault-injection policy, or nullptr.
   ChaosPolicy* chaos() const noexcept { return chaos_; }
 
-  // --- Contention-management gates (stm/contention.hpp) -------------------
-  // All no-ops (one predictable branch) unless the Stm's contention manager
-  // tracks per-slot state (priority policies, or cm_progress_tracking).
-
-  /// Honor a pending abort request from a higher-priority transaction
-  /// (throws ConflictAbort{CmKilled}). Wrapper layers (the LAPs) call this
-  /// at their own long-wait points; the STM's internal paths poll in
-  /// txn.cpp. Never fires past the commit point or on the irrevocable
-  /// fallback attempt.
-  void cm_poll() {
-    if (cm_cell_ != nullptr) [[unlikely]] cm_check_doom();
-  }
-
-  /// Publish how many abstract-lock stripes this attempt currently holds
-  /// (watchdog stall diagnostics).
-  void cm_note_stripes(std::uint32_t n) noexcept;
-
  private:
   friend class Stm;
 
@@ -369,21 +352,6 @@ class Txn {
   void chaos_hit(ChaosPoint p);
   bool chaos_timeout_hit(ChaosPoint p);
   void chaos_delay_only(ChaosPoint p) noexcept;
-  /// Publish this attempt's CM state (token/birth on the first attempt,
-  /// recomputed priority each attempt, elder promotion past the threshold).
-  void cm_begin_attempt();
-  /// Retire the call's CM cell (token cleared, elder claim dropped).
-  void cm_end_call() noexcept;
-  /// Throw ConflictAbort{CmKilled} if a stronger transaction doomed us.
-  void cm_check_doom();
-  /// Arbitrate a lost lock race on `orec` against its current owner.
-  /// Returns true when the lock drained (the caller should re-attempt the
-  /// operation), false when the caller must abort with its own reason; may
-  /// instead throw CmKilled if we were doomed while waiting.
-  bool cm_lock_conflict(const Orec& orec);
-  /// Commit-entry gate: doom poll plus bounded deference to a published
-  /// elder (starvation-recovery window).
-  void cm_commit_entry();
   void mark_reader(VarBase& var);
   void clear_reader_marks() noexcept;
   void release_locks(Version version) noexcept;
@@ -416,13 +384,11 @@ class Txn {
   Version rv_ = 0;
   unsigned attempt_ = 0;
   unsigned eligible_attempts_ = 0;
-  // Contention-management state; cm_cell_ == nullptr gates every CM code
-  // path, so non-tracking policies keep the pre-CM hot path bit-for-bit.
-  ContentionManager* cm_ = nullptr;
-  CmSlot* cm_cell_ = nullptr;
-  std::uint64_t cm_token_ = 0;  // call-unique birth stamp; doom compares it
-  std::uint64_t cm_pri_ = ~std::uint64_t{0};
-  std::uint64_t karma_ = 0;  // reads+writes across this call's aborted attempts
+  // Shared side of the fallback gate, taken by commit() and held until the
+  // attempt is torn down (reset_attempt_state) — on an aborted commit that
+  // is after rollback() has released the orec locks, so the exclusive
+  // (gated) attempt that follows never meets a lock left by a loser.
+  std::shared_lock<std::shared_mutex> gate_guard_;
   bool active_ = false;
   bool snapshot_frozen_ = false;
   bool gate_exempt_ = false;

@@ -312,9 +312,7 @@ bool Wal::chaos_crash(ChaosPoint p) noexcept {
 
 void Wal::fail(const char* op, int err, const std::string& path) {
   n_errors_.fetch_add(1, std::memory_order_relaxed);
-  const bool already = failed_.exchange(true, std::memory_order_acq_rel);
-  durable_ec_.notify_all();  // strict waiters must stop waiting and throw
-  if (already) return;
+  if (failing_.exchange(true, std::memory_order_acq_rel)) return;
   const WalError e{op, err, path};
   if (opts_.on_error) {
     opts_.on_error(e);
@@ -323,6 +321,11 @@ void Wal::fail(const char* op, int err, const std::string& path) {
                  "[wal] FAILED: %s on %s: %s — durability is now read-only\n",
                  op, path.c_str(), std::strerror(err));
   }
+  // Report first, then publish: every WalUnavailable — a strict waiter's or
+  // a refused commit's — keys off failed(), so the caller that catches it
+  // already sees what on_error recorded.
+  failed_.store(true, std::memory_order_release);
+  durable_ec_.notify_all();  // strict waiters must stop waiting and throw
 }
 
 WalErrorPolicy Wal::classify(int err) const noexcept {
@@ -400,7 +403,7 @@ void Wal::committer_main() {
     }
     // A failed log drops batches on the floor: durable_epoch stops moving,
     // strict waiters throw, and publish-side commits refuse up front.
-    if (!failed()) write_batch(b);
+    if (!failing_.load(std::memory_order_acquire)) write_batch(b);
   }
 }
 

@@ -101,9 +101,9 @@ enum class WalErrorPolicy : std::uint8_t {
 };
 
 /// One I/O failure, delivered to WalOptions::on_error from the committer
-/// thread (or from the failing strict waiter). After the first of these the
-/// log is failed for good: `Wal::failed()` stays true and logging commits
-/// throw WalUnavailable.
+/// thread. After the first of these the log is failed for good: once
+/// on_error has returned, `Wal::failed()` stays true, strict waiters and
+/// logging commits throw WalUnavailable.
 struct WalError {
   const char* op;    // "write", "fsync", "rename", "open", "checkpoint"
   int err;           // errno at the failure
@@ -381,6 +381,10 @@ class Wal {
 
   std::atomic<std::uint64_t> published_epoch_{0};
   std::atomic<std::uint64_t> durable_epoch_{0};
+  // `failing_` is claimed by the first fatal error and stops the committer
+  // writing; `failed_` (what failed() reports) is set only after on_error
+  // has returned, so no WalUnavailable can overtake the error report.
+  std::atomic<bool> failing_{false};
   std::atomic<bool> failed_{false};
   sync::EventCount work_ec_;     // producer -> committer
   sync::EventCount durable_ec_;  // committer -> strict waiters

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "stm/chaos.hpp"
-#include "stm/contention.hpp"
 #include "stm/stm.hpp"
 
 namespace proust::stm {
@@ -24,15 +23,9 @@ std::string StallReport::to_string() const {
   std::ostringstream os;
   os << (kind == Kind::StalledEpoch ? "stalled-epoch" : "gate-budget-overrun")
      << " stalled_ns=" << stalled_ns << " commits=" << commits
-     << " starts=" << starts;
+     << " starts=" << starts << " in_flight=" << in_flight;
   if (chaos_seed != 0) os << " chaos_seed=" << chaos_seed;
   if (gate_holder != ~0u) os << " gate_holder=" << gate_holder;
-  if (boosted_slot != ~0u) os << " boosted=" << boosted_slot;
-  for (const SlotInfo& s : active) {
-    os << " [slot=" << s.slot << " attempts=" << s.attempts
-       << " stripes=" << s.stripes << " birth=" << s.birth
-       << " pri=" << s.priority << "]";
-  }
   return os.str();
 }
 
@@ -98,31 +91,15 @@ void Watchdog::run() {
       continue;
     }
 
-    // Epoch is flat. Is anyone actually trying? Two signals: active cells
-    // in the CM slot table (tracking policies publish them), and attempt
-    // starts advancing with zero commits landing (works for every policy).
-    StallReport r;
-    CmState& cm = stm_.cm_state();
-    const unsigned slots = ThreadRegistry::high_water();
-    unsigned oldest_slot = ~0u;
-    std::uint64_t oldest_birth = ~std::uint64_t{0};
-    for (unsigned i = 0; i < slots && i < ThreadRegistry::kMaxSlots; ++i) {
-      const CmSlot& cell = cm.slot(i);
-      if (cell.token.load(std::memory_order_acquire) == 0) continue;
-      StallReport::SlotInfo info;
-      info.slot = i;
-      info.attempts = cell.attempts.load(std::memory_order_relaxed);
-      info.stripes = cell.stripes.load(std::memory_order_relaxed);
-      info.birth = cell.birth.load(std::memory_order_relaxed);
-      info.priority = cell.priority.load(std::memory_order_relaxed);
-      r.active.push_back(info);
-      if (info.birth < oldest_birth) {
-        oldest_birth = info.birth;
-        oldest_slot = i;
-      }
-    }
+    // Epoch is flat. Is anyone actually trying? An attempt in flight (begun,
+    // neither committed nor aborted — a body stuck inside one call), attempt
+    // starts advancing with zero commits landing (livelock), or a held gate.
+    // The counters are loaded one by one, so a snapshot racing a short
+    // attempt may count its outcome but not its start; that reads as zero.
+    const std::uint64_t ended = snap.commits + snap.total_aborts();
+    const std::uint64_t in_flight = snap.starts > ended ? snap.starts - ended : 0;
     const bool working =
-        !r.active.empty() || snap.starts != last_starts || gate_t0 != 0;
+        in_flight != 0 || snap.starts != last_starts || gate_t0 != 0;
     last_starts = snap.starts;
     if (!working) {
       stable_since = now;  // genuinely idle, not stalled
@@ -134,21 +111,14 @@ void Watchdog::run() {
     }
 
     stalls_.fetch_add(1, std::memory_order_acq_rel);
+    StallReport r;
     r.kind = StallReport::Kind::StalledEpoch;
     r.stalled_ns = now - stable_since;
     r.commits = snap.commits;
     r.starts = snap.starts;
+    r.in_flight = in_flight;
     if (gate_t0 != 0) r.gate_holder = stm_.gate_holder();
     if (const ChaosPolicy* c = stm_.options().chaos) r.chaos_seed = c->seed();
-    // Escalate: crown the oldest active call as the elder. Committers then
-    // defer to it and lock waiters shed — the priority policies' own
-    // starvation-recovery window, applied by force. Requires a tracking CM
-    // (otherwise no cell carries a birth to rank by).
-    if (cfg_.escalate && oldest_slot != ~0u) {
-      cm.force_elder(oldest_slot);
-      escalations_.fetch_add(1, std::memory_order_acq_rel);
-      r.boosted_slot = oldest_slot;
-    }
     deliver(r);
     stable_since = now;  // re-arm; re-fires after another stall_after
   }

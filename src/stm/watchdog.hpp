@@ -2,18 +2,16 @@
 // commit epoch that stops advancing while transactions are still active —
 // the observable signature of livelock, a wedged irrevocable fallback, or a
 // user transaction stuck inside its body. Detection is entirely passive
-// (periodic stats snapshots plus reads of the contention-management slot
-// table); nothing on the transaction hot path knows the watchdog exists.
+// (periodic stats snapshots plus the gate's published entry time); nothing
+// on the transaction hot path knows the watchdog exists.
 //
-// On a stall the watchdog assembles a StallReport — per-slot diagnostics
-// (attempt counts, held abstract-lock stripes, call age), the fallback-gate
-// holder if any, and the chaos seed when fault injection is active so the
-// hang is replayable — and delivers it to StmOptions::on_stall (stderr when
-// unset). It then escalates by crowning the *oldest* active transaction as
-// the contention manager's elder (CmState::force_elder): committers defer
-// to it and lock waiters shed, the same starvation-recovery protocol the
-// priority policies use, applied by force before the stop-the-world gate
-// would ever be needed.
+// Work in flight is read off the same snapshot: an attempt that has begun
+// but neither committed nor aborted (starts > commits + aborts), attempt
+// starts advancing with no commit landing, or a held fallback gate. On a
+// stall the watchdog assembles a StallReport — the counts it judged on, the
+// fallback-gate holder if any, and the chaos seed when fault injection is
+// active so the hang is replayable — and delivers it to
+// StmOptions::on_stall (stderr when unset).
 //
 // The same reporting channel covers the irrevocable-fallback budget
 // (StmOptions::fallback_budget): a gate hold that overruns its budget is
@@ -26,7 +24,6 @@
 #include <cstdint>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "stm/fwd.hpp"
 
@@ -40,22 +37,13 @@ struct StallReport {
     GateBudgetOverrun,  // an irrevocable fallback exceeded fallback_budget
   };
 
-  struct SlotInfo {
-    unsigned slot = 0;
-    std::uint32_t attempts = 0;  // attempts of the slot's current call
-    std::uint32_t stripes = 0;   // abstract-lock stripes currently held
-    std::uint64_t birth = 0;     // call age stamp (smaller = older)
-    std::uint64_t priority = 0;  // published priority (lower = stronger)
-  };
-
   Kind kind = Kind::StalledEpoch;
   std::uint64_t stalled_ns = 0;  // stall duration / gate hold so far
   std::uint64_t commits = 0;     // committed attempts at detection time
   std::uint64_t starts = 0;      // begun attempts at detection time
+  std::uint64_t in_flight = 0;   // attempts begun but not yet finished
   std::uint64_t chaos_seed = 0;  // replay seed; 0 = no chaos policy active
   unsigned gate_holder = ~0u;    // slot holding the fallback gate, or ~0u
-  unsigned boosted_slot = ~0u;   // slot escalated to elder, or ~0u
-  std::vector<SlotInfo> active;  // active slots (tracking CM only)
 
   std::string to_string() const;
 };
@@ -73,8 +61,6 @@ class Watchdog {
     /// How long the commit count may sit still (with work active) before a
     /// StalledEpoch report fires.
     std::chrono::nanoseconds stall_after = std::chrono::milliseconds(50);
-    /// Crown the oldest active transaction as elder on a stall.
-    bool escalate = true;
   };
 
   explicit Watchdog(Stm& stm);
@@ -89,9 +75,6 @@ class Watchdog {
   std::uint64_t stalls() const noexcept {
     return stalls_.load(std::memory_order_acquire);
   }
-  std::uint64_t escalations() const noexcept {
-    return escalations_.load(std::memory_order_acquire);
-  }
   std::uint64_t budget_overruns() const noexcept {
     return budget_overruns_.load(std::memory_order_acquire);
   }
@@ -104,7 +87,6 @@ class Watchdog {
   Config cfg_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> stalls_{0};
-  std::atomic<std::uint64_t> escalations_{0};
   std::atomic<std::uint64_t> budget_overruns_{0};
   std::thread thread_;
 };

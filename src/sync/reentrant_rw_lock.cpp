@@ -1,7 +1,6 @@
 #include "sync/reentrant_rw_lock.hpp"
 
 #include "sync/chaos_hook.hpp"
-#include "sync/cm_hook.hpp"
 #include "sync/futex.hpp"
 
 namespace proust::sync {
@@ -85,7 +84,6 @@ bool ReentrantRwLock::join_slow(bool in_read, bool in_write, bool write,
   std::uint64_t s =
       state_.fetch_add(kWaiterOne, std::memory_order_acq_rel) + kWaiterOne;
   bool joined = false;
-  unsigned wait_round = 0;
   for (;;) {
     if (admissible(s, in_read, in_write, write)) {
       const std::uint64_t next = s + (write ? kWriterOne : kReaderOne);
@@ -102,16 +100,6 @@ bool ReentrantRwLock::join_slow(bool in_read, bool in_write, bool write,
     s = state_.load(std::memory_order_acquire);
     if (admissible(s, in_read, in_write, write)) continue;
     if (std::chrono::steady_clock::now() >= deadline) break;
-    if (CmLockArbiter* arb = cm_lock_arbiter(); arb != nullptr) [[unlikely]] {
-      // The contention manager can end the wait early — e.g. shed this
-      // queue while a starving elder transaction needs the lock to drain.
-      // Failing here is indistinguishable from a timeout to the caller,
-      // which is exactly the recovery path we want it to run.
-      if (arb->on_contended_park(this, write, wait_round++) ==
-          CmWaitVerdict::kGiveUp) {
-        break;
-      }
-    }
     if (ChaosLockHook* hook = chaos_lock_hook(); hook != nullptr) [[unlikely]] {
       hook->on_lock_transition(LockTransition::kPark);
     }

@@ -1,12 +1,11 @@
-// Chaos-differential matrix over contention-management policy × global-clock
-// scheme (ctest label "cm"). Every CM decision is a pure function of
-// published priorities — the CM consumes nothing from the chaos decision
-// streams — so fault-injected runs stay reproducible under every policy, and
-// a single-threaded run must replay bit-exactly regardless of which CM is
-// active. The multi-threaded sweep drives the full arbitration surface
-// (dooming, bounded waits, elder recovery, the fallback gate, admission
-// throttling) under injected aborts/delays/timeouts and checks the committed
-// state against a mutex-guarded reference.
+// Chaos-differential matrix over the fallback gate × global-clock scheme
+// (ctest label "cm"), with exponential backoff between attempts. The
+// inter-attempt policy consumes nothing from the chaos decision streams, so
+// fault-injected runs stay reproducible, and a single-threaded run must
+// replay bit-exactly whether the retry backs off or not. The multi-threaded
+// sweep drives the retry loop and the gate (exclusive attempts, shared-side
+// FallbackGate aborts) under injected aborts/delays/timeouts and checks the
+// committed state against a mutex-guarded reference.
 //
 // Reproduce a failure with PROUST_CHAOS_SEED=<printed seed>, as in
 // tests/chaos_test.cpp.
@@ -25,7 +24,6 @@
 #include "common/rng.hpp"
 #include "map_configs.hpp"
 #include "stm/chaos.hpp"
-#include "stm/contention.hpp"
 
 using namespace proust::testing;
 namespace stm = proust::stm;
@@ -125,43 +123,38 @@ MapConfig config_named(const std::string& name) {
   return {};
 }
 
-using Param = std::tuple<stm::CmPolicy, stm::ClockScheme>;
+using Param = std::tuple<unsigned, stm::ClockScheme>;  // fallback_after
 
 class CmChaosMatrixTest : public ::testing::TestWithParam<Param> {};
 
 }  // namespace
 
 TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
-  const auto [policy, scheme] = GetParam();
+  const auto [fallback, scheme] = GetParam();
   const std::uint64_t seed = base_seed() +
-                             static_cast<std::uint64_t>(policy) * 31 +
+                             static_cast<std::uint64_t>(fallback) * 31 +
                              static_cast<std::uint64_t>(scheme) * 7;
   SCOPED_TRACE("chaos seed " + std::to_string(seed));
 
   stm::StmOptions opts;
-  opts.cm_policy = policy;
   opts.clock_scheme = scheme;
-  // Small threshold so the gate × CM × elder interplay is exercised too
-  // (injected ChaosInjected aborts stay exempt from it).
-  opts.fallback_after = 6;
-  opts.cm_elder_after = 4;
+  // 0 leaves the gate off; 8 is small enough that gated attempts interleave
+  // with the injected faults (ChaosInjected aborts never count toward it).
+  opts.fallback_after = fallback;
   opts.lap_timeout = std::chrono::milliseconds(1);
 
   // Two quadrants with different conflict machinery: pure-STM conflicts
-  // (lazy memo table) and Boosting-style abstract locks (whose park loops
-  // consult the CM's lock arbiter).
+  // (lazy memo table) and Boosting-style abstract locks.
   for (const char* cfg_name : {"lazy_memo_lazystm", "eager_pess"}) {
     SCOPED_TRACE(cfg_name);
     stm::ChaosPolicy chaos(stm::ChaosConfig::standard(seed));
     chaos.install_lock_hook();
     opts.chaos = &chaos;
     auto map = config_named(cfg_name).make_with(opts);
-    map->stm().cm().install_lock_arbiter();
 
     const long kKeys = 16;
     const auto reference = run_differential(*map, seed, 4, 100, kKeys);
 
-    map->stm().cm().remove_lock_arbiter();
     chaos.remove_lock_hook();
     expect_map_equals(*map, reference, kKeys);
     EXPECT_EQ(chaos.leaks(), 0u);
@@ -172,56 +165,22 @@ TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CmChaosMatrixTest,
-    ::testing::Combine(::testing::Values(stm::CmPolicy::ExponentialBackoff,
-                                         stm::CmPolicy::Karma,
-                                         stm::CmPolicy::TimestampAging),
+    ::testing::Combine(::testing::Values(0u, 8u),
                        ::testing::Values(stm::ClockScheme::IncOnCommit,
                                          stm::ClockScheme::PassOnFailure,
                                          stm::ClockScheme::LazyBump)),
     [](const auto& info) {
-      return std::string(stm::to_string(std::get<0>(info.param))) + "_" +
-             stm::to_string(std::get<1>(info.param));
+      const unsigned fallback = std::get<0>(info.param);
+      return std::string("backoff") +
+             (fallback == 0 ? "" : "_fallback" + std::to_string(fallback)) +
+             "_" + stm::to_string(std::get<1>(info.param));
     });
 
-TEST(CmChaosAdmissionTest, ThrottledSweepStaysExact) {
-  // Admission control sheds parallelism under the injected abort storm; the
-  // committed state must stay exact and the throttle counters must show the
-  // controller actually engaged (it adapts, so only the wait *counters* are
-  // asserted, not a specific limit).
-  const std::uint64_t seed = base_seed() + 271;
-  SCOPED_TRACE("chaos seed " + std::to_string(seed));
-
-  stm::ChaosPolicy chaos(stm::ChaosConfig::aggressive(seed));
-  chaos.install_lock_hook();
-  stm::StmOptions opts;
-  opts.chaos = &chaos;
-  opts.cm_policy = stm::CmPolicy::TimestampAging;
-  opts.clock_scheme = stm::ClockScheme::LazyBump;
-  opts.admission_control = true;
-  opts.admission_window = 64;
-  opts.admission_min_tokens = 1;
-  opts.admission_max_tokens = 2;  // 4 threads over 2 tokens: must throttle
-  opts.lap_timeout = std::chrono::milliseconds(1);
-  auto map = config_named("lazy_memo_lazystm").make_with(opts);
-  map->stm().cm().install_lock_arbiter();
-
-  const long kKeys = 16;
-  const auto reference = run_differential(*map, seed, 4, 80, kKeys);
-
-  map->stm().cm().remove_lock_arbiter();
-  chaos.remove_lock_hook();
-  expect_map_equals(*map, reference, kKeys);
-  EXPECT_EQ(chaos.leaks(), 0u);
-  const stm::StatsSnapshot s = map->stats();
-  EXPECT_GE(s.throttle_waits, 1u);
-  EXPECT_GT(s.throttle_ns, 0u);
-}
-
 TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {
-  // The determinism contract: switching the contention manager must not
+  // The determinism contract: switching the inter-attempt policy must not
   // shift the chaos decision streams, so a single-threaded fault-injected
-  // run replays bit-exactly under ANY policy — same committed state, same
-  // attempt counts, same per-point injection totals.
+  // run replays bit-exactly with or without backoff — same committed state,
+  // same attempt counts, same per-point injection totals.
   const std::uint64_t seed = base_seed() + 99;
   auto run = [&](stm::CmPolicy policy, std::map<long, long>& out_state,
                  stm::StatsSnapshot& out_stats,
@@ -250,21 +209,17 @@ TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {
     EXPECT_EQ(chaos.leaks(), 0u);
   };
 
-  std::map<long, long> s_none, s_aging, s_karma;
-  stm::StatsSnapshot st_none, st_aging, st_karma;
-  std::array<std::uint64_t, stm::kNumChaosPoints> inj_none{}, inj_aging{},
-      inj_karma{};
+  std::map<long, long> s_none, s_backoff;
+  stm::StatsSnapshot st_none, st_backoff;
+  std::array<std::uint64_t, stm::kNumChaosPoints> inj_none{}, inj_backoff{};
   run(stm::CmPolicy::None, s_none, st_none, inj_none);
-  run(stm::CmPolicy::TimestampAging, s_aging, st_aging, inj_aging);
-  run(stm::CmPolicy::Karma, s_karma, st_karma, inj_karma);
+  run(stm::CmPolicy::ExponentialBackoff, s_backoff, st_backoff, inj_backoff);
 
-  EXPECT_EQ(s_none, s_aging);
-  EXPECT_EQ(s_none, s_karma);
-  EXPECT_EQ(st_none.starts, st_aging.starts);
-  EXPECT_EQ(st_none.starts, st_karma.starts);
-  EXPECT_EQ(st_none.commits, st_aging.commits);
-  EXPECT_EQ(st_none.total_aborts(), st_aging.total_aborts());
-  EXPECT_EQ(inj_none, inj_aging);
-  EXPECT_EQ(inj_none, inj_karma);
+  EXPECT_EQ(s_none, s_backoff);
+  EXPECT_EQ(st_none.starts, st_backoff.starts);
+  EXPECT_EQ(st_none.commits, st_backoff.commits);
+  EXPECT_EQ(st_none.total_aborts(), st_backoff.total_aborts());
+  EXPECT_EQ(inj_none, inj_backoff);
   EXPECT_GT(st_none.total_injected(), 0u);
+  EXPECT_EQ(st_none.backoff_ns, 0u);  // None never pauses
 }

@@ -45,7 +45,7 @@ TEST_P(CmPolicyTest, ContendedCountersStayExact) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CmPolicyTest,
                          ::testing::Values(CmPolicy::ExponentialBackoff,
-                                           CmPolicy::Yield, CmPolicy::None),
+                                           CmPolicy::None),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

@@ -7,7 +7,9 @@
 // paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stm/stm.hpp"
@@ -458,6 +461,58 @@ TEST(WalTest, IoFailureFailsStopAndRefusesDurableCommits) {
   std::uint32_t got;
   std::memcpy(&got, recs[0].data.data(), sizeof got);
   EXPECT_EQ(got, 1u);
+}
+
+TEST(WalTest, ErrorReportIsVisibleBeforeAnyWalUnavailable) {
+  // Every WalUnavailable — a strict waiter's or a commit refused up front —
+  // is thrown only after on_error has returned for the failure, so whoever
+  // catches one already sees the report. A slow handler turns any early
+  // wake-up or early refusal into a missing report.
+  TempDir dir("report-first");
+  std::atomic<int> reports{0};
+  std::atomic<bool> arm{false};
+  stm::WalOptions wopts;
+  wopts.dir = dir.path;
+  wopts.fsync_every_n = 1;
+  wopts.durability = stm::WalDurability::Strict;
+  wopts.on_error = [&](const stm::WalError&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    reports.fetch_add(1);
+  };
+  wopts.io_failure = [&](stm::ChaosPoint p) {
+    return (arm.load() && p == stm::ChaosPoint::WalAppend) ? ENOSPC : 0;
+  };
+  stm::Wal wal(wopts);
+  stm::StmOptions opts;
+  opts.durability = &wal;
+  stm::Stm s(stm::Mode::Lazy, opts);
+
+  const std::uint32_t x = 1;
+  s.atomically([&](stm::Txn& tx) { tx.wal_log(1, &x, sizeof x); });
+  arm.store(true);
+
+  // Two committers: one is the strict waiter of the failing batch, the
+  // other keeps committing until the log refuses it (or its own wait
+  // fails). Each records the report count it saw at its throw.
+  auto commit_until_unavailable = [&] {
+    for (int i = 0; i < 100000; ++i) {
+      try {
+        s.atomically([&](stm::Txn& tx) { tx.wal_log(1, &x, sizeof x); });
+      } catch (const stm::WalUnavailable&) {
+        return reports.load();
+      }
+    }
+    return -1;
+  };
+  int seen_by_helper = -1;
+  std::thread helper([&] { seen_by_helper = commit_until_unavailable(); });
+  const int seen_by_main = commit_until_unavailable();
+  helper.join();
+
+  EXPECT_EQ(seen_by_main, 1) << "WalUnavailable thrown before the report";
+  EXPECT_EQ(seen_by_helper, 1) << "WalUnavailable thrown before the report";
+  EXPECT_TRUE(wal.failed());
+  EXPECT_EQ(reports.load(), 1);
 }
 
 namespace {
