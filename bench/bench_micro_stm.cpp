@@ -12,7 +12,7 @@
 //                      write_heavy, read_modify_write, write_large) in every
 //                      mode, and a multi-thread sweep (1/2/4/8/16 threads,
 //                      override with --mt-threads=) of write workloads under
-//                      every global-clock scheme, which is what captures
+//                      both global-clock schemes, which is what captures
 //                      commit-path scaling rather than just constant factors.
 #include <benchmark/benchmark.h>
 
@@ -219,7 +219,8 @@ struct MtSpec {
 ///   mt_disjoint_write — each thread writes its own 8 vars (the clock is the
 ///                       only shared word: isolates commit-path overhead)
 ///   mt_counter        — single shared read-modify-write counter (maximum
-///                       data contention; scheme effects are second-order)
+///                       data contention; on Lazy, LazyBump aborts every read
+///                       of a value committed ahead of the clock)
 bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
                               int threads, stm::ChaosPolicy* chaos) {
   stm::StmOptions opts;
@@ -400,11 +401,10 @@ int run_trajectory(const bench::Cli& cli) {
     }
   }
 
-  // Thread sweep: every clock scheme over write-shaped workloads.
+  // Thread sweep: both clock schemes over write-shaped workloads.
   const auto mt_threads =
       cli.get_longs("mt-threads", std::vector<long>{1, 2, 4, 8, 16});
   const stm::ClockScheme schemes[] = {stm::ClockScheme::IncOnCommit,
-                                      stm::ClockScheme::PassOnFailure,
                                       stm::ClockScheme::LazyBump};
   const MtSpec mt_specs[] = {
       {"mt_write_heavy", stm::Mode::Lazy, 8, 120000 * scale},

@@ -16,8 +16,8 @@
 // `--smoke` shrinks durations to CI scale while still visiting every
 // (config × workload-cell) combination, so every cell of the matrix at
 // least executes and emits parseable CSV on each push. Pinning cells set
-// both StmOptions::pinning (registry-slot binding, the runtime knob under
-// test) and the harness-level worker plan, so non-STM baselines pin too.
+// the harness-level worker plan (bench_util/harness.hpp), which binds STM
+// configurations and non-STM baselines alike.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -192,53 +192,6 @@ void run_map_family(Ctx& ctx, stm::Mode mode, const Cell& proto,
     bench::GlobalLockAdapter a;
     map_cell(ctx, a, a.name(), lk, cfg);
   }
-}
-
-// ---------------------------------------------------------------------------
-// --ab: the default-neutrality check. A = stock StmOptions (pinning=none,
-// numa_placement=off — the configuration every pre-topology bench ran), B =
-// the topology-enabled options under test. Runs are interleaved pairwise
-// (run_map_throughput_paired) so both sides sample the same noise phases;
-// on the 1-vCPU reference box the acceptance bar is a ratio within noise of
-// 1.0, proving the opt-in machinery costs nothing when off.
-// ---------------------------------------------------------------------------
-
-int run_neutrality_ab(const Cli& cli, stm::Mode mode) {
-  RunConfig cfg;
-  cfg.total_ops = cli.get_long("ops", 200000);
-  cfg.key_range = cli.get_long("key-range", 1024);
-  cfg.ops_per_txn = static_cast<int>(cli.get_long("o", 4));
-  cfg.warmup_runs = static_cast<int>(cli.get_long("warmup", 2));
-  cfg.timed_runs = static_cast<int>(cli.get_long("runs", 7));
-
-  stm::StmOptions on;
-  topo::parse_pin_policy(cli.get("pin", "compact"), on.pinning);
-  on.numa_placement = cli.get_placement("placement",
-                                        topo::NumaPlacement::Interleave);
-
-  std::printf("# neutrality A/B: defaults (pin=none, numa=off) vs pin=%s "
-              "numa=%s, paired-interleaved, %d runs (min)\n",
-              topo::to_string(on.pinning),
-              topo::to_string(on.numa_placement), cfg.timed_runs);
-  Table table({"u", "threads", "off-ms", "on-ms", "on/off", "off-ab%",
-               "on-ab%"});
-  for (double u : cli.get_doubles("u", std::vector<double>{0, 0.5})) {
-    for (long t : cli.get_longs("threads", std::vector<long>{1, 2})) {
-      cfg.write_fraction = u;
-      cfg.threads = static_cast<int>(t);
-      bench::PureStmAdapter off(mode, cfg.key_range, stm::StmOptions{});
-      bench::PureStmAdapter with(mode, cfg.key_range, on);
-      bench::prefill_half(off, cfg.key_range);
-      bench::prefill_half(with, cfg.key_range);
-      const auto [ro, rw] = bench::run_map_throughput_paired(off, with, cfg);
-      table.row({Table::fmt(u, 2), std::to_string(t),
-                 Table::fmt(ro.min_ms, 2), Table::fmt(rw.min_ms, 2),
-                 Table::fmt(rw.min_ms / ro.min_ms, 3),
-                 Table::fmt(100.0 * ro.abort_ratio(), 1),
-                 Table::fmt(100.0 * rw.abort_ratio(), 1)});
-    }
-  }
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -442,9 +395,6 @@ void run_pqueue_family(Ctx& ctx, const Cell& proto, const stm::StmOptions& opts,
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  if (cli.has("ab")) {
-    return run_neutrality_ab(cli, cli.get_mode("mode", stm::Mode::Lazy));
-  }
   const bool smoke = cli.has("smoke");
 
   Ctx ctx;
@@ -471,12 +421,12 @@ int main(int argc, char** argv) {
       "scan-width", smoke ? std::vector<long>{32} : std::vector<long>{64, 512});
   const auto thread_counts = cli.get_longs(
       "threads", smoke ? std::vector<long>{1, 2} : std::vector<long>{1, 2, 4, 8});
-  const auto pins = cli.get_strings(
-      "pin", smoke ? std::vector<std::string>{"none", "compact"}
-                   : std::vector<std::string>{"none", "compact", "scatter"});
+  using topo::PinPolicy;
+  const auto pins = cli.get_pin_policies(
+      "pin", smoke ? std::vector<PinPolicy>{PinPolicy::None, PinPolicy::Compact}
+                   : std::vector<PinPolicy>{PinPolicy::None, PinPolicy::Compact,
+                                            PinPolicy::Scatter});
   const stm::Mode mode = cli.get_mode("mode", stm::Mode::Lazy);
-  const auto placement =
-      cli.get_placement("placement", topo::NumaPlacement::Off);
   const std::size_t ca_slots =
       static_cast<std::size_t>(cli.get_long("ca-slots", 1024));
   const std::size_t stripes =
@@ -496,16 +446,10 @@ int main(int argc, char** argv) {
   ctx.csv = &csv;
   ctx.json = json_path.empty() ? nullptr : &json_writer;
 
-  for (const std::string& pin_name : pins) {
-    topo::PinPolicy policy = topo::PinPolicy::None;
-    if (!topo::parse_pin_policy(pin_name, policy)) {
-      std::fprintf(stderr, "unknown pin policy '%s'\n", pin_name.c_str());
-      return 1;
-    }
+  const stm::StmOptions opts{};
+  for (const PinPolicy policy : pins) {
+    const std::string pin_name = topo::to_string(policy);
     const std::vector<int> pin_plan = host.pin_plan(policy);
-    stm::StmOptions opts;
-    opts.pinning = policy;
-    opts.numa_placement = placement;
 
     for (long t : thread_counts) {
       if (std::find(families.begin(), families.end(), "map") !=

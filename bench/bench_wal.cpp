@@ -13,12 +13,11 @@
 // checkpoints recovery cost grows with the multiplier; with them it tracks
 // live state + the unretired tail, which is the layer's contract.
 //
-// --ab: the default-neutrality check (same discipline as the scenario
-// matrix's pinning A/B). A = stock StmOptions. B = a live Wal *attached but
-// never logged to* — every commit takes the compiled-in durability
-// branches, nothing is staged or published. With --ckpt, B additionally
-// runs a live background Checkpointer parked on the log, so the cell
-// prices the checkpoint layer's whole non-participant surface: the
+// --ab: the default-neutrality check. A = stock StmOptions. B = a live Wal
+// *attached but never logged to* — every commit takes the compiled-in
+// durability branches, nothing is staged or published. With --ckpt, B
+// additionally runs a live background Checkpointer parked on the log, so
+// the cell prices the checkpoint layer's whole non-participant surface: the
 // wal_fenced predicate every commit now evaluates plus the idle
 // checkpointer thread. Paired-interleaved runs; the acceptance bar is
 // min-time ratio >= 0.97.

@@ -43,9 +43,10 @@ echo "== fastpath: lock-free optimistic read fast path =="
 # admission to fall back to the locked path (DESIGN.md §12).
 ctest --test-dir build --output-on-failure -L fastpath
 
-echo "== topology: detection, pin plans, placement plumbing =="
-# Sysfs-fixture detection, pin-plan orderings, Stm-level pinning (skips in
-# sandboxes that refuse affinity syscalls), replicated ReadSeqTable banks.
+echo "== topology: detection, pin plans, harness pinning, bench CLI =="
+# Sysfs-fixture detection, pin-plan orderings, bench-harness worker pinning
+# (skips in sandboxes that refuse affinity syscalls), the bench CLI's
+# rejection of unknown enum values, and the CSV writer.
 ctest --test-dir build --output-on-failure -L topology
 
 echo "== durability: WAL + checkpoint crash/fault recovery matrices =="

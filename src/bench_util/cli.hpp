@@ -1,12 +1,16 @@
 // Minimal flag parsing shared by the benchmark drivers:
 //   --ops=N  --key-range=N  --warmup=N  --runs=N  --threads=1,2,4
 //   --o=1,16  --u=0,0.5,1  --full  --mode=lazy|eagerwrite|eagerall
+// An enum-valued flag given a name outside its list exits with status 2 and
+// a message naming the accepted values, instead of running the default.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/topology.hpp"
@@ -17,6 +21,23 @@ namespace proust::bench {
 
 class Cli {
  public:
+  /// The names each enum-valued flag accepts, in the order the rejection
+  /// message lists them.
+  template <class E>
+  using Named = std::pair<const char*, E>;
+
+  static constexpr Named<stm::Mode> kModes[] = {
+      {"lazy", stm::Mode::Lazy},
+      {"eagerwrite", stm::Mode::EagerWrite},
+      {"eagerall", stm::Mode::EagerAll}};
+  static constexpr Named<stm::ClockScheme> kSchemes[] = {
+      {"inc", stm::ClockScheme::IncOnCommit},
+      {"lazybump", stm::ClockScheme::LazyBump}};
+  static constexpr Named<topo::PinPolicy> kPinPolicies[] = {
+      {"none", topo::PinPolicy::None},
+      {"compact", topo::PinPolicy::Compact},
+      {"scatter", topo::PinPolicy::Scatter}};
+
   Cli(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
   }
@@ -65,25 +86,18 @@ class Cli {
     return out;
   }
 
+  /// --mode=lazy|eagerwrite|eagerall (STM conflict-detection mode).
   stm::Mode get_mode(const std::string& flag, stm::Mode def) const {
-    const std::string v = get(flag, "");
-    if (v == "lazy") return stm::Mode::Lazy;
-    if (v == "eagerwrite") return stm::Mode::EagerWrite;
-    if (v == "eagerall") return stm::Mode::EagerAll;
-    return def;
+    return get_enum(flag, def, kModes);
   }
 
-  /// --scheme=inc|pass|lazybump (global-clock scheme).
+  /// --scheme=inc|lazybump (global-clock scheme).
   stm::ClockScheme get_scheme(const std::string& flag,
                               stm::ClockScheme def) const {
-    const std::string v = get(flag, "");
-    if (v == "inc") return stm::ClockScheme::IncOnCommit;
-    if (v == "pass") return stm::ClockScheme::PassOnFailure;
-    if (v == "lazybump") return stm::ClockScheme::LazyBump;
-    return def;
+    return get_enum(flag, def, kSchemes);
   }
 
-  /// Comma-separated string list, e.g. --pin=none,compact,scatter.
+  /// Comma-separated string list, e.g. --families=map,ordered.
   std::vector<std::string> get_strings(const std::string& flag,
                                        std::vector<std::string> def) const {
     const std::string v = get(flag, "");
@@ -95,24 +109,46 @@ class Cli {
     return out;
   }
 
-  /// Single pinning policy (--pin-policy=none|compact|scatter|explicit);
-  /// unknown values fall back to `def`.
+  /// Harness worker pinning, --pin=none|compact|scatter.
   topo::PinPolicy get_pin_policy(const std::string& flag,
                                  topo::PinPolicy def) const {
-    topo::PinPolicy p = def;
-    (void)topo::parse_pin_policy(get(flag, ""), p);
-    return p;
+    return get_enum(flag, def, kPinPolicies);
   }
 
-  /// --placement=off|interleave|replicate.
-  topo::NumaPlacement get_placement(const std::string& flag,
-                                    topo::NumaPlacement def) const {
-    topo::NumaPlacement p = def;
-    (void)topo::parse_numa_placement(get(flag, ""), p);
-    return p;
+  /// Comma-separated pinning policies, e.g. --pin=none,compact,scatter.
+  std::vector<topo::PinPolicy> get_pin_policies(
+      const std::string& flag, std::vector<topo::PinPolicy> def) const {
+    const std::vector<std::string> names = get_strings(flag, {});
+    if (names.empty()) return def;
+    std::vector<topo::PinPolicy> out;
+    for (const std::string& n : names) {
+      out.push_back(lookup(flag, n, kPinPolicies));
+    }
+    return out;
   }
 
  private:
+  template <class E, std::size_t N>
+  E get_enum(const std::string& flag, E def,
+             const Named<E> (&names)[N]) const {
+    const std::string v = get(flag, "");
+    return v.empty() ? def : lookup(flag, v, names);
+  }
+
+  /// The value named `v`; an unknown name ends the process (status 2).
+  template <class E, std::size_t N>
+  static E lookup(const std::string& flag, const std::string& v,
+                  const Named<E> (&names)[N]) {
+    std::string accepted;
+    for (const auto& [name, value] : names) {
+      if (v == name) return value;
+      accepted += accepted.empty() ? name : std::string(", ") + name;
+    }
+    std::fprintf(stderr, "--%s=%s: unknown value; accepted values: %s\n",
+                 flag.c_str(), v.c_str(), accepted.c_str());
+    std::exit(2);
+  }
+
   static std::vector<long> split_longs(const std::string& v) {
     std::vector<long> out;
     std::stringstream ss(v);

@@ -29,10 +29,10 @@ struct RunConfig {
   int timed_runs = 3;
   std::uint64_t seed = 42;
   double zipf_theta = 0.0;  // 0 = uniform (the paper's setup)
-  /// Harness-level worker pinning: worker t binds to pin_plan[t % size]
-  /// before the start barrier. Empty (default) = no affinity calls. This
-  /// complements StmOptions::pinning (which binds by registry slot) and
-  /// also covers non-STM baselines like the global-lock map.
+  /// Worker pinning: worker t binds to pin_plan[t % size] before the start
+  /// barrier (topo::Topology::pin_plan). Empty (default) = no affinity
+  /// calls. The one place pinning happens, so STM configurations and
+  /// non-STM baselines like the global-lock map are bound alike.
   std::vector<int> pin_plan;
 };
 

@@ -1,25 +1,14 @@
 #include "common/topology.hpp"
 
 #include <sched.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <thread>
-
-// libnuma, if the process happens to link it. Weak declarations keep the
-// build free of any libnuma dependency: unresolved weak symbols are null,
-// and every call site checks libnuma_present() first.
-extern "C" {
-int numa_available(void) __attribute__((weak));
-void* numa_alloc_onnode(std::size_t size, int node) __attribute__((weak));
-void numa_free(void* start, std::size_t size) __attribute__((weak));
-}
+#include <tuple>
 
 namespace proust::topo {
 namespace {
@@ -119,8 +108,7 @@ Topology Topology::detect(const std::string& sysfs_root) {
   }
 
   // Node ownership from node<N>/cpulist. Node ids are usually dense from 0;
-  // scan a generous range and stop caring about gaps (a sparse id just
-  // leaves unused bank indices downstream).
+  // scan a generous range and tolerate short gaps.
   const std::string node_dir = sysfs_root + "/devices/system/node";
   int max_node = -1;
   int misses = 0;
@@ -163,14 +151,8 @@ int Topology::node_of(int cpu) const noexcept {
   return 0;
 }
 
-std::vector<int> Topology::pin_plan(
-    PinPolicy policy, const std::vector<int>& explicit_cpus) const {
-  switch (policy) {
-    case PinPolicy::None: return {};
-    case PinPolicy::Explicit: return explicit_cpus;
-    case PinPolicy::Compact:
-    case PinPolicy::Scatter: break;
-  }
+std::vector<int> Topology::pin_plan(PinPolicy policy) const {
+  if (policy == PinPolicy::None) return {};
   // smt_rank: position among hardware threads of the same (package, core) —
   // 0 is the first thread of each physical core.
   struct Key {
@@ -187,7 +169,7 @@ std::vector<int> Topology::pin_plan(
     keys.push_back(Key{info, seen[{info.package, info.core}]++});
   }
   if (policy == PinPolicy::Compact) {
-    // One node at a time, siblings of a core adjacent: consecutive slots
+    // One node at a time, siblings of a core adjacent: consecutive workers
     // share caches, maximizing locality for communicating neighbours.
     std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
       return std::tie(a.info.node, a.info.package, a.info.core, a.smt_rank) <
@@ -221,93 +203,12 @@ std::vector<int> Topology::pin_plan(
   return plan;
 }
 
-namespace {
-thread_local int tl_node = -1;
-}  // namespace
-
 bool pin_self_to(int cpu) noexcept {
   if (cpu < 0) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(cpu, &set);
-  if (sched_setaffinity(0, sizeof(set), &set) != 0) return false;
-  tl_node = Topology::system().node_of(cpu);
-  return true;
-}
-
-int current_cpu() noexcept {
-#ifdef SYS_getcpu
-  unsigned cpu = 0;
-  if (syscall(SYS_getcpu, &cpu, nullptr, nullptr) == 0) {
-    return static_cast<int>(cpu);
-  }
-#endif
-  return -1;
-}
-
-int cached_node() noexcept {
-  if (tl_node < 0) {
-    const int cpu = current_cpu();
-    tl_node = cpu >= 0 ? Topology::system().node_of(cpu) : 0;
-  }
-  return tl_node;
-}
-
-bool libnuma_present() noexcept {
-  static const bool present = &numa_available != nullptr &&
-                              &numa_alloc_onnode != nullptr &&
-                              &numa_free != nullptr && numa_available() >= 0;
-  return present;
-}
-
-void* alloc_onnode(std::size_t bytes, int node) {
-  // Only route through libnuma on real multi-node hosts; free_onnode makes
-  // the same decision, so a pointer is always released by the allocator
-  // that produced it (which is why a null here is bad_alloc rather than a
-  // fallback to the plain heap — the two allocators must never mix for one
-  // pointer).
-  if (node < 0) node = cached_node();
-  if (Topology::system().node_count > 1 && libnuma_present()) {
-    void* p = numa_alloc_onnode(bytes, node);
-    if (p == nullptr) throw std::bad_alloc();
-    return p;
-  }
-  return ::operator new(bytes, std::align_val_t(64));
-}
-
-void free_onnode(void* p, std::size_t bytes) noexcept {
-  if (p == nullptr) return;
-  if (Topology::system().node_count > 1 && libnuma_present()) {
-    numa_free(p, bytes);
-    return;
-  }
-  ::operator delete(p, std::align_val_t(64));
-}
-
-bool interleave_pages(void* p, std::size_t bytes,
-                      unsigned node_count) noexcept {
-#ifdef SYS_mbind
-  if (node_count < 2 || p == nullptr) return false;
-  constexpr std::size_t kPage = 4096;
-  auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t lo = (addr + kPage - 1) & ~(kPage - 1);
-  const std::uintptr_t hi = (addr + bytes) & ~(kPage - 1);
-  if (hi <= lo) return false;
-  constexpr int kMpolInterleave = 3;  // MPOL_INTERLEAVE (numaif.h)
-  unsigned long mask[4] = {0, 0, 0, 0};
-  const unsigned n = node_count < 256 ? node_count : 256;
-  for (unsigned i = 0; i < n; ++i) {
-    mask[i / (8 * sizeof(unsigned long))] |=
-        1UL << (i % (8 * sizeof(unsigned long)));
-  }
-  return syscall(SYS_mbind, reinterpret_cast<void*>(lo), hi - lo,
-                 kMpolInterleave, mask, 8 * sizeof(mask) + 1, 0U) == 0;
-#else
-  (void)p;
-  (void)bytes;
-  (void)node_count;
-  return false;
-#endif
+  return sched_setaffinity(0, sizeof(set), &set) == 0;
 }
 
 const char* to_string(PinPolicy p) noexcept {
@@ -315,35 +216,8 @@ const char* to_string(PinPolicy p) noexcept {
     case PinPolicy::None: return "none";
     case PinPolicy::Compact: return "compact";
     case PinPolicy::Scatter: return "scatter";
-    case PinPolicy::Explicit: return "explicit";
   }
   return "?";
-}
-
-const char* to_string(NumaPlacement p) noexcept {
-  switch (p) {
-    case NumaPlacement::Off: return "off";
-    case NumaPlacement::Interleave: return "interleave";
-    case NumaPlacement::Replicate: return "replicate";
-  }
-  return "?";
-}
-
-bool parse_pin_policy(std::string_view s, PinPolicy& out) noexcept {
-  if (s == "none") out = PinPolicy::None;
-  else if (s == "compact") out = PinPolicy::Compact;
-  else if (s == "scatter") out = PinPolicy::Scatter;
-  else if (s == "explicit") out = PinPolicy::Explicit;
-  else return false;
-  return true;
-}
-
-bool parse_numa_placement(std::string_view s, NumaPlacement& out) noexcept {
-  if (s == "off") out = NumaPlacement::Off;
-  else if (s == "interleave") out = NumaPlacement::Interleave;
-  else if (s == "replicate") out = NumaPlacement::Replicate;
-  else return false;
-  return true;
 }
 
 }  // namespace proust::topo

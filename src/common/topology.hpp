@@ -1,6 +1,6 @@
-// Host topology detection and placement primitives (DESIGN.md §13). The
-// runtime is topology-blind by default; everything here is opt-in behind
-// `StmOptions::pinning` / `StmOptions::numa_placement`.
+// Host topology detection and the CPU orderings the bench harness pins its
+// workers by (DESIGN.md §13). The STM runtime itself is topology-blind;
+// nothing under src/stm or src/core includes this header.
 //
 //  - Topology::detect() parses the Linux sysfs tree (cpu online mask, core
 //    and package ids, NUMA node cpulists). The sysfs root is a parameter so
@@ -8,42 +8,21 @@
 //    files degrade to a flat single-node topology sized by
 //    std::thread::hardware_concurrency() — a 1-vCPU container detects as
 //    one CPU on one node with no SMT, never an error.
-//  - pin_plan() turns a PinPolicy into an ordered CPU list; registry slot i
-//    pins to plan[i % plan.size()].
-//  - alloc_onnode()/free_onnode() prefer libnuma when the binary happens to
-//    be linked against it (the symbols are declared weak in topology.cpp,
-//    so the build carries no dependency) and otherwise fall back to plain
-//    aligned heap memory, which first-touch places on the calling thread's
-//    node anyway once threads are pinned.
-//  - interleave_pages() spreads a region across nodes round-robin with a
-//    raw mbind(2) syscall — again no libnuma needed — and is a silent no-op
-//    on single-node hosts or when the kernel refuses.
+//  - pin_plan() turns a PinPolicy into an ordered CPU list; bench worker t
+//    pins to plan[t % plan.size()] (bench_util/harness.hpp).
 #pragma once
 
-#include <cstddef>
-#include <new>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace proust::topo {
 
-/// How registry slots map onto CPUs. None is the default and must stay
-/// behaviour-neutral: no affinity syscalls, no plan computation on the
-/// transaction path.
+/// How bench workers map onto CPUs. None is the default: no affinity
+/// syscalls, no plan computation.
 enum class PinPolicy {
   None,     ///< leave scheduling to the OS
   Compact,  ///< fill one node (SMT siblings adjacent) before the next
   Scatter,  ///< round-robin across nodes, distinct cores before siblings
-  Explicit  ///< caller-provided CPU list, slot i -> cpus[i % n]
-};
-
-/// Where shared runtime tables live relative to NUMA nodes.
-enum class NumaPlacement {
-  Off,         ///< first-touch wherever construction runs (default)
-  Interleave,  ///< stripe shared tables across nodes page by page
-  Replicate    ///< per-node reader replicas where supported (ReadSeqTable)
 };
 
 struct CpuInfo {
@@ -72,108 +51,15 @@ struct Topology {
   /// Node owning `cpu`, or 0 if the CPU is unknown.
   int node_of(int cpu) const noexcept;
 
-  /// Ordered CPU list for a policy (empty for None, and for Explicit with
-  /// an empty list — both mean "do not pin").
-  std::vector<int> pin_plan(PinPolicy policy,
-                            const std::vector<int>& explicit_cpus = {}) const;
+  /// Ordered CPU list for a policy (empty for None: "do not pin").
+  std::vector<int> pin_plan(PinPolicy policy) const;
 };
 
 /// Bind the calling thread to one CPU. Returns false if the kernel refuses
 /// (e.g. a cpuset that excludes `cpu`); callers treat that as advisory.
 bool pin_self_to(int cpu) noexcept;
 
-/// Logical CPU the calling thread is on right now (-1 if unavailable).
-int current_cpu() noexcept;
-
-/// NUMA node of the calling thread, cached per thread. Computed once on
-/// first use and refreshed by pin_self_to(); for unpinned threads it may go
-/// stale after a migration, which only costs locality, never correctness —
-/// users index per-node structures, and any valid index is correct.
-int cached_node() noexcept;
-
-/// True when libnuma is linked into the process (weak symbols resolved).
-bool libnuma_present() noexcept;
-
-/// 64-byte-aligned allocation preferring `node` (the caller's node when
-/// negative; libnuma when present, plain heap otherwise — first-touch then
-/// decides). Pair with free_onnode() using the same byte count.
-void* alloc_onnode(std::size_t bytes, int node);
-void free_onnode(void* p, std::size_t bytes) noexcept;
-
-/// Best-effort MPOL_INTERLEAVE over the page-aligned interior of
-/// [p, p+bytes) across nodes [0, node_count). No-op (returns false) on
-/// single-node hosts or when mbind(2) fails.
-bool interleave_pages(void* p, std::size_t bytes, unsigned node_count) noexcept;
-
+/// "none"/"compact"/"scatter", the names bench_util/cli.hpp parses.
 const char* to_string(PinPolicy p) noexcept;
-const char* to_string(NumaPlacement p) noexcept;
-/// Parse "none"/"compact"/"scatter"/"explicit" (returns false on junk).
-bool parse_pin_policy(std::string_view s, PinPolicy& out) noexcept;
-/// Parse "off"/"interleave"/"replicate".
-bool parse_numa_placement(std::string_view s, NumaPlacement& out) noexcept;
-
-/// A default-constructed array of T with optional page-interleaved backing:
-/// the NUMA-aware replacement for `std::vector<T>`-shaped runtime tables
-/// (orec arrays, LAP stripe tables). With `interleave == false` this is an
-/// aligned heap array — byte-for-byte the behaviour the tables had before.
-template <class T>
-class NumaArray {
-  static constexpr std::size_t kPage = 4096;
-
- public:
-  NumaArray() = default;
-  NumaArray(std::size_t n, bool interleave) { init(n, interleave); }
-  ~NumaArray() { destroy(); }
-
-  NumaArray(NumaArray&& o) noexcept
-      : data_(std::exchange(o.data_, nullptr)),
-        n_(std::exchange(o.n_, 0)),
-        align_(std::exchange(o.align_, 0)) {}
-  NumaArray& operator=(NumaArray&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      data_ = std::exchange(o.data_, nullptr);
-      n_ = std::exchange(o.n_, 0);
-      align_ = std::exchange(o.align_, 0);
-    }
-    return *this;
-  }
-  NumaArray(const NumaArray&) = delete;
-  NumaArray& operator=(const NumaArray&) = delete;
-
-  void init(std::size_t n, bool interleave) {
-    destroy();
-    n_ = n;
-    if (n == 0) return;
-    const unsigned nodes = Topology::system().node_count;
-    const bool spread = interleave && nodes > 1;
-    align_ = spread ? kPage : (alignof(T) > 64 ? alignof(T) : 64);
-    data_ = static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(align_)));
-    if (spread) interleave_pages(data_, n * sizeof(T), nodes);
-    // Construct *after* the policy is applied so even the first touch of
-    // each page lands where mbind said, not on the constructing thread.
-    for (std::size_t i = 0; i < n; ++i) ::new (data_ + i) T();
-  }
-
-  T& operator[](std::size_t i) noexcept { return data_[i]; }
-  const T& operator[](std::size_t i) const noexcept { return data_[i]; }
-  std::size_t size() const noexcept { return n_; }
-  T* data() noexcept { return data_; }
-
- private:
-  void destroy() noexcept {
-    if (data_ != nullptr) {
-      for (std::size_t i = n_; i > 0; --i) data_[i - 1].~T();
-      ::operator delete(data_, std::align_val_t(align_));
-      data_ = nullptr;
-    }
-    n_ = 0;
-  }
-
-  T* data_ = nullptr;
-  std::size_t n_ = 0;
-  std::size_t align_ = 0;
-};
 
 }  // namespace proust::topo

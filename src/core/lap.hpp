@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/hashing.hpp"
-#include "common/topology.hpp"
 #include "stm/stm.hpp"
 #include "sync/reentrant_rw_lock.hpp"
 
@@ -50,9 +49,7 @@ template <class Key, class Hasher = proust::Hash<Key>>
 class OptimisticLap {
  public:
   OptimisticLap(stm::Stm& stm, std::size_t m)
-      : stm_(&stm),
-        mem_(next_pow2(m), stm.options().numa_placement ==
-                               topo::NumaPlacement::Interleave) {}
+      : stm_(&stm), mem_(next_pow2(m)) {}
 
   OptimisticLap(const OptimisticLap&) = delete;
   OptimisticLap& operator=(const OptimisticLap&) = delete;
@@ -94,11 +91,7 @@ class OptimisticLap {
   }
 
   stm::Stm* stm_;
-  // NUMA-aware backing for the conflict-abstraction region: identical to a
-  // heap array under placement Off, page-interleaved across nodes under
-  // Interleave (the region is read/written by every thread, so striping it
-  // spreads the orec traffic instead of loading one node's controller).
-  topo::NumaArray<stm::Var<std::uint64_t>> mem_;
+  std::vector<stm::Var<std::uint64_t>> mem_;
 };
 
 /// The pessimistic LAP: striped re-entrant RW abstract locks, two-phase,
@@ -126,9 +119,7 @@ class PessimisticLap {
                  std::chrono::nanoseconds timeout = kDefaultTimeout)
       : stm_(&stm),
         locks_(next_pow2(stripes),
-               [](std::size_t) { return sync::LockKind::kReaderWriter; },
-               stm.options().numa_placement ==
-                   topo::NumaPlacement::Interleave) {
+               [](std::size_t) { return sync::LockKind::kReaderWriter; }) {
     resolve_timeout(timeout);
   }
 
@@ -137,10 +128,7 @@ class PessimisticLap {
     requires std::invocable<KindFn&, std::size_t>
   PessimisticLap(stm::Stm& stm, std::size_t stripes, KindFn&& kind_of,
                  std::chrono::nanoseconds timeout = kDefaultTimeout)
-      : stm_(&stm),
-        locks_(next_pow2(stripes), kind_of,
-               stm.options().numa_placement ==
-                   topo::NumaPlacement::Interleave) {
+      : stm_(&stm), locks_(next_pow2(stripes), kind_of) {
     resolve_timeout(timeout);
   }
 
@@ -173,27 +161,17 @@ class PessimisticLap {
   class StripeTable {
    public:
     template <class KindFn>
-    StripeTable(std::size_t n, KindFn&& kind_of, bool interleave = false)
-        : n_(n),
-          align_(interleave ? std::size_t{4096}
-                            : alignof(sync::ReentrantRwLock)) {
-      raw_ = ::operator new(n * sizeof(sync::ReentrantRwLock),
-                            std::align_val_t{align_});
-      locks_ = static_cast<sync::ReentrantRwLock*>(raw_);
-      if (interleave) {
-        // Apply the policy before the constructing first touch so the lock
-        // words land where mbind says, spreading abstract-lock traffic
-        // across memory controllers.
-        topo::interleave_pages(raw_, n * sizeof(sync::ReentrantRwLock),
-                               topo::Topology::system().node_count);
-      }
+    StripeTable(std::size_t n, KindFn&& kind_of)
+        : locks_(static_cast<sync::ReentrantRwLock*>(
+              ::operator new(n * sizeof(sync::ReentrantRwLock), kAlign))),
+          n_(n) {
       for (std::size_t i = 0; i < n; ++i) {
         ::new (static_cast<void*>(locks_ + i)) sync::ReentrantRwLock(kind_of(i));
       }
     }
     ~StripeTable() {
       for (std::size_t i = n_; i-- > 0;) locks_[i].~ReentrantRwLock();
-      ::operator delete(raw_, std::align_val_t{align_});
+      ::operator delete(locks_, kAlign);
     }
     StripeTable(const StripeTable&) = delete;
     StripeTable& operator=(const StripeTable&) = delete;
@@ -204,10 +182,10 @@ class PessimisticLap {
     std::size_t size() const noexcept { return n_; }
 
    private:
-    void* raw_;
+    static constexpr std::align_val_t kAlign{alignof(sync::ReentrantRwLock)};
+
     sync::ReentrantRwLock* locks_;
     std::size_t n_;
-    std::size_t align_;
   };
 
   std::size_t stripe(const Key& key) const {

@@ -26,74 +26,34 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
+#include <memory>
+#include <vector>
 
-#include "common/topology.hpp"
 #include "stm/stm.hpp"
 
 namespace proust::core {
 
-/// With `placement == NumaPlacement::Replicate` the table keeps one word
-/// bank per NUMA node, each allocated on its node: readers bracket against
-/// their local bank (no cross-node loads on the fast path) and mutators pin
-/// the stripe's word in *every* bank, so any reader's bracketing word moves
-/// whenever the stripe is mutated. With Interleave the single bank's pages
-/// are spread across nodes; with Off (default) the layout and costs are
-/// exactly the historical single-array ones. `forced_banks` overrides the
-/// detected node count so replication is testable on single-node hosts.
 class ReadSeqTable {
  public:
-  explicit ReadSeqTable(
-      std::size_t stripes,
-      topo::NumaPlacement placement = topo::NumaPlacement::Off,
-      unsigned forced_banks = 0)
-      : mask_(next_pow2(stripes) - 1) {
-    nbanks_ = 1;
-    if (placement == topo::NumaPlacement::Replicate) {
-      nbanks_ = forced_banks != 0 ? forced_banks
-                                  : topo::Topology::system().node_count;
-      if (nbanks_ == 0) nbanks_ = 1;
-    }
-    const std::size_t n = mask_ + 1;
-    banks_ = new Word*[nbanks_];
-    for (unsigned b = 0; b < nbanks_; ++b) {
-      void* raw = topo::alloc_onnode(
-          n * sizeof(Word), nbanks_ > 1 ? static_cast<int>(b) : -1);
-      if (placement == topo::NumaPlacement::Interleave) {
-        topo::interleave_pages(raw, n * sizeof(Word),
-                               topo::Topology::system().node_count);
-      }
-      Word* w = static_cast<Word*>(raw);
-      for (std::size_t i = 0; i < n; ++i) ::new (w + i) Word{};
-      banks_[b] = w;
-    }
-  }
+  explicit ReadSeqTable(std::size_t stripes)
+      : mask_(next_pow2(stripes) - 1),
+        words_(std::make_unique<Word[]>(mask_ + 1)) {}
 
   ReadSeqTable(const ReadSeqTable&) = delete;
   ReadSeqTable& operator=(const ReadSeqTable&) = delete;
-  ~ReadSeqTable() {
-    for (unsigned b = 0; b < nbanks_; ++b) {
-      topo::free_onnode(banks_[b], (mask_ + 1) * sizeof(Word));
-    }
-    delete[] banks_;
-  }
 
   std::size_t stripes() const noexcept { return mask_ + 1; }
-  unsigned banks() const noexcept { return nbanks_; }
 
-  /// The stripe's word for fast-path bracketing — the calling thread's
-  /// local bank under replication. Callers hash with the same function as
-  /// the base structure so stripe == base shard (a coarser or finer mapping
-  /// is still correct, just noisier). A stale node cache (an unpinned
-  /// thread that migrated) selects a remote bank, which costs locality
-  /// only: every bank observes every mutation of the stripe.
+  /// The stripe's word for fast-path bracketing. Callers hash with the same
+  /// function as the base structure so stripe == base shard (a coarser or
+  /// finer mapping is still correct, just noisier).
   const std::atomic<std::uint64_t>* word(std::size_t stripe) const noexcept {
-    return &reader_bank()[stripe & mask_].v;
+    return &words_[stripe & mask_].v;
   }
 
   /// Reader-side entry load.
   std::uint64_t load(std::size_t stripe) const noexcept {
-    return reader_bank()[stripe & mask_].v.load(std::memory_order_acquire);
+    return words_[stripe & mask_].v.load(std::memory_order_acquire);
   }
 
   static constexpr bool stable(std::uint64_t w) noexcept {
@@ -104,15 +64,13 @@ class ReadSeqTable {
   /// even by this table's finish hook, after any abort inverses ran). Call
   /// before the first base mutation of the stripe; idempotent per attempt.
   void writer_pin(stm::Txn& tx, std::size_t stripe) {
-    std::atomic<std::uint64_t>* w0 = &banks_[0][stripe & mask_].v;
+    std::atomic<std::uint64_t>* w = &words_[stripe & mask_].v;
     std::vector<stm::TxnArena::SeqHold>& holds = tx.seq_holds();
     bool table_seen = false;
     // Newest-first: the stripe just pinned is overwhelmingly the next one
-    // touched again, and attempts pin few distinct stripes. Bank-0's word
-    // is the dedup canary — replica words are only ever pinned together
-    // with it (bank 0 is pushed last, so the scan meets it first).
+    // touched again, and attempts pin few distinct stripes.
     for (std::size_t i = holds.size(); i-- > 0;) {
-      if (holds[i].word == w0) return;  // already odd for this attempt
+      if (holds[i].word == w) return;  // already odd for this attempt
       table_seen = table_seen || holds[i].group == this;
     }
     if (!table_seen) {
@@ -128,13 +86,8 @@ class ReadSeqTable {
         }
       });
     }
-    // Pin every bank: whichever replica a reader brackets against, the
-    // stripe's mutation makes it unstable.
-    for (unsigned b = nbanks_; b-- > 0;) {
-      std::atomic<std::uint64_t>* w = &banks_[b][stripe & mask_].v;
-      w->fetch_add(1, std::memory_order_seq_cst);  // odd: mutation in flight
-      holds.push_back({this, w});
-    }
+    w->fetch_add(1, std::memory_order_seq_cst);  // odd: mutation in flight
+    holds.push_back({this, w});
   }
 
  private:
@@ -150,15 +103,8 @@ class ReadSeqTable {
     std::atomic<std::uint64_t> v{0};
   };
 
-  Word* reader_bank() const noexcept {
-    return nbanks_ == 1
-               ? banks_[0]
-               : banks_[static_cast<unsigned>(topo::cached_node()) % nbanks_];
-  }
-
   std::size_t mask_;
-  Word** banks_ = nullptr;
-  unsigned nbanks_ = 1;
+  std::unique_ptr<Word[]> words_;
 };
 
 }  // namespace proust::core

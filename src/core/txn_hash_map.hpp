@@ -28,8 +28,7 @@ class TxnHashMap {
   explicit TxnHashMap(Lap& lap, std::size_t stripes = 64,
                       bool combine_undo = false)
       : lock_(lap, UpdateStrategy::Eager), map_(stripes),
-        seqs_(map_.stripe_count(), lap.stm().options().numa_placement),
-        combine_undo_(combine_undo) {}
+        seqs_(map_.stripe_count()), combine_undo_(combine_undo) {}
 
   /// Insert or replace. Returns the previous mapping, as Figure 2a's put.
   std::optional<V> put(stm::Txn& tx, const K& key, const V& value) {

@@ -43,8 +43,7 @@ class TxnOrderedMap {
   /// interval-CA granularity M. Keys outside the bounds clamp to the edge
   /// stripes (correct, just coarser there).
   TxnOrderedMap(Lap& lap, K key_min, K key_max, std::size_t stripes)
-      : lock_(lap, UpdateStrategy::Eager),
-        seqs_(stripes, lap.stm().options().numa_placement),
+      : lock_(lap, UpdateStrategy::Eager), seqs_(stripes),
         key_min_(key_min), key_max_(key_max), stripes_(stripes) {}
 
   std::optional<V> put(stm::Txn& tx, K key, const V& value) {

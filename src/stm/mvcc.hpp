@@ -28,7 +28,6 @@
 #include <new>
 
 #include "common/ebr.hpp"
-#include "common/topology.hpp"
 #include "stm/fwd.hpp"
 #include "stm/thread_registry.hpp"
 
@@ -64,37 +63,18 @@ struct VersionNode {
 /// lines anyway.
 class VersionPool {
  public:
-  explicit VersionPool(unsigned max_slots, topo::NumaPlacement placement =
-                                               topo::NumaPlacement::Off)
-      : max_slots_(max_slots),
-        node_local_(placement != topo::NumaPlacement::Off) {
-    if (node_local_) {
-      // Per-slot headers allocated lazily by the owning slot, so the first
-      // touch — and with libnuma the explicit placement — happens on the
-      // slot's node instead of wherever the Stm was constructed.
-      lazy_ = new std::atomic<Slot*>[max_slots] {};
-    } else {
-      slots_ = new Slot[max_slots];
-    }
-  }
+  explicit VersionPool(unsigned max_slots)
+      : slots_(new Slot[max_slots]), max_slots_(max_slots) {}
   ~VersionPool() {
     for (unsigned i = 0; i < max_slots_; ++i) {
-      Slot* s = node_local_ ? lazy_[i].load(std::memory_order_acquire)
-                            : &slots_[i];
-      if (s == nullptr) continue;
-      VersionNode* n = s->head;
+      VersionNode* n = slots_[i].head;
       while (n != nullptr) {
         VersionNode* next = n->next.load(std::memory_order_relaxed);
         ::operator delete(n);
         n = next;
       }
-      if (node_local_) {
-        s->~Slot();
-        topo::free_onnode(s, sizeof(Slot));
-      }
     }
     delete[] slots_;
-    delete[] lazy_;
   }
   VersionPool(const VersionPool&) = delete;
   VersionPool& operator=(const VersionPool&) = delete;
@@ -105,7 +85,7 @@ class VersionPool {
   /// per var, so resizing converges immediately.
   VersionNode* acquire(unsigned slot, std::uint32_t size) {
     assert(slot < max_slots_);
-    Slot& s = slot_ref(slot);
+    Slot& s = slots_[slot];
     VersionNode* n = s.head;
     if (n != nullptr && n->cap >= size) {
       s.head = n->next.load(std::memory_order_relaxed);
@@ -126,7 +106,7 @@ class VersionPool {
 
   void release(unsigned slot, VersionNode* n) noexcept {
     assert(slot < max_slots_);
-    Slot& s = slot_ref(slot);
+    Slot& s = slots_[slot];
     if (s.count >= kMaxFree) {
       ::operator delete(n);
       return;
@@ -147,32 +127,16 @@ class VersionPool {
     std::size_t count = 0;
   };
 
-  /// acquire/release run only on the owning slot, so lazy allocation races
-  /// nothing; the acquire/release fences cover the registry-mutex slot
-  /// handoff to a successor thread.
-  Slot& slot_ref(unsigned slot) {
-    if (!node_local_) return slots_[slot];
-    Slot* p = lazy_[slot].load(std::memory_order_acquire);
-    if (p == nullptr) [[unlikely]] {
-      p = new (topo::alloc_onnode(sizeof(Slot), -1)) Slot{};
-      lazy_[slot].store(p, std::memory_order_release);
-    }
-    return *p;
-  }
-
-  Slot* slots_ = nullptr;
-  std::atomic<Slot*>* lazy_ = nullptr;
+  Slot* slots_;
   unsigned max_slots_;
-  bool node_local_;
 };
 
 /// Per-Stm multi-version state. Declaration order matters: the pool must
 /// outlive the EBR domain, whose destructor drains limbo nodes back into it.
 class MvccState {
  public:
-  explicit MvccState(unsigned max_slots, topo::NumaPlacement placement =
-                                             topo::NumaPlacement::Off)
-      : pool_(max_slots, placement), ebr_(max_slots), max_slots_(max_slots) {
+  explicit MvccState(unsigned max_slots)
+      : pool_(max_slots), ebr_(max_slots), max_slots_(max_slots) {
     announce_ = new Cell[max_slots];
   }
   ~MvccState() { delete[] announce_; }

@@ -7,9 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
-#include "common/topology.hpp"
 #include "stm/fwd.hpp"
 
 namespace proust::stm {
@@ -35,27 +33,21 @@ constexpr const char* to_string(CmPolicy p) noexcept {
 }
 
 /// How a writing commit obtains its write version `wv` from the STM's global
-/// clock — a design-space axis of its own (TL2's GV1/GV4/GV5 family). The
-/// clock word is the one cache line every writing commit shares, so the
-/// scheme decides how commit throughput scales with thread count.
+/// clock (TL2's GV1 and GV5). The clock word is the one cache line every
+/// writing commit shares, so the scheme decides how commit throughput scales
+/// with thread count; each scheme wins cells the other loses (DESIGN.md §7).
 ///
 /// The `rv + 1 == wv` validation-skip fast path is sound ONLY under
 /// IncOnCommit: there every committer increments the clock *after* acquiring
 /// its write locks, so `wv == rv + 1` proves no writer overlapped this
-/// transaction's reads. Under PassOnFailure two commits may share one `wv`
-/// (the CAS loser adopts the winner's value mid-flight), and under LazyBump
-/// the clock does not tick per commit at all, so both schemes always
-/// revalidate the read set (see DESIGN.md §7).
+/// transaction's reads. Under LazyBump the clock does not tick per commit at
+/// all, so it always revalidates the read set.
 enum class ClockScheme : std::uint8_t {
-  /// GV1: every writing commit does one `fetch_add` on the shared clock.
-  /// Cheapest bookkeeping, keeps the validation-skip fast path, but every
-  /// commit ping-pongs the clock cache line.
+  /// GV1 (default): every writing commit does one `fetch_add` on the shared
+  /// clock. Keeps the validation-skip fast path and never publishes a
+  /// version ahead of the clock, but every commit ping-pongs the clock cache
+  /// line.
   IncOnCommit,
-  /// GV4: CAS the clock from its observed value `g` to `g + 1`; on CAS
-  /// failure reuse the winner's published value as this commit's `wv`
-  /// instead of retrying. Contended commits stop fighting over the clock
-  /// line — at most one RMW succeeds per tick, everyone else piggybacks.
-  PassOnFailure,
   /// GV5: commit at `clock_now() + 1` without writing the clock at all; a
   /// reader that meets a too-new version bumps the clock up to it before
   /// retrying (Stm::clock_catch_up), which bounds the extra aborts this
@@ -66,7 +58,6 @@ enum class ClockScheme : std::uint8_t {
 constexpr const char* to_string(ClockScheme s) noexcept {
   switch (s) {
     case ClockScheme::IncOnCommit: return "IncOnCommit";
-    case ClockScheme::PassOnFailure: return "PassOnFailure";
     case ClockScheme::LazyBump: return "LazyBump";
   }
   return "?";
@@ -80,20 +71,17 @@ struct StmOptions {
 
   // --- Multi-version snapshot reads (DESIGN.md §11) ------------------------
   /// Keep a short per-Var version chain at every writing commit so that
-  /// read-only transactions (declared via Stm::atomically_ro, or detected —
-  /// see mvcc_auto_readonly) read a consistent start-timestamp snapshot with
+  /// read-only transactions read a consistent start-timestamp snapshot with
   /// no read set, no validation and no aborts, regardless of concurrent
-  /// writers. Writers pay one pool node push per overwritten var plus chain
-  /// truncation against the minimum active snapshot; chains are reclaimed
-  /// through epoch-based reclamation (common/ebr.hpp). Off by default —
-  /// non-MVCC configs take one never-taken branch on the read path and pay
-  /// nothing at commit.
+  /// writers. Read-only is either declared (Stm::atomically_ro) or detected:
+  /// an attempt that aborts without having buffered any write retries in
+  /// snapshot mode, and a snapshot attempt that turns out to write is
+  /// retried as a writer (AbortReason::MvccPromote). Writers pay one pool
+  /// node push per overwritten var plus chain truncation against the minimum
+  /// active snapshot; chains are reclaimed through epoch-based reclamation
+  /// (common/ebr.hpp). Off by default — non-MVCC configs take one
+  /// never-taken branch on the read path and pay nothing at commit.
   bool mvcc = false;
-  /// With mvcc on: when an attempt aborts without having buffered any write,
-  /// the retry runs in snapshot mode automatically (callers do not have to
-  /// declare read-only intent to benefit). A snapshot attempt that turns out
-  /// to write is demoted/retried as a writer — see AbortReason::MvccPromote.
-  bool mvcc_auto_readonly = true;
 
   // --- Lock-free optimistic read fast path (DESIGN.md §12) -----------------
   /// Let the Proust wrappers serve read-only operations (get/contains/peek)
@@ -144,23 +132,6 @@ struct StmOptions {
   /// symmetric deadlocks do not abort in lockstep and re-collide; LAPs
   /// constructed with an explicit timeout use it verbatim.
   std::chrono::nanoseconds lap_timeout = std::chrono::milliseconds(2);
-
-  // --- Topology awareness (common/topology.hpp, DESIGN.md §13) -------------
-  /// Pin each registry slot's thread to a CPU on its first top-level
-  /// transaction against this Stm. The plan is computed once from the
-  /// detected host topology; slot i binds to plan[i % plan.size()]. None
-  /// (default) performs no affinity syscalls and computes no plan.
-  topo::PinPolicy pinning = topo::PinPolicy::None;
-  /// CPU list for PinPolicy::Explicit (ignored otherwise; empty list means
-  /// "do not pin", same as None).
-  std::vector<int> pin_cpus;
-  /// NUMA placement of the runtime's shared tables: stamp cells become
-  /// node-local per-slot blocks, MVCC version-pool headers likewise, and
-  /// structures built against this Stm (orec arrays, LAP stripe tables,
-  /// sequence-word tables) consult this knob for interleaved or
-  /// per-node-replicated layouts. Off (default) keeps the exact
-  /// first-touch-at-construction behaviour the runtime always had.
-  topo::NumaPlacement numa_placement = topo::NumaPlacement::Off;
 
   /// Fault-injection policy woven into the runtime (stm/chaos.hpp);
   /// non-owning, must outlive every transaction of this Stm. nullptr

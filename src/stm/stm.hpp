@@ -21,7 +21,6 @@
 #include <utility>
 
 #include "common/backoff.hpp"
-#include "common/topology.hpp"
 #include "stm/commit_fence.hpp"
 #include "stm/fwd.hpp"
 #include "stm/mvcc.hpp"
@@ -35,27 +34,13 @@ namespace proust::stm {
 class Stm {
  public:
   explicit Stm(Mode mode = Mode::Lazy, StmOptions options = {})
-      : mode_(mode), options_(options), id_(next_id()) {
+      : mode_(mode), options_(options) {
     if (options_.mvcc) {
-      mvcc_ = std::make_unique<MvccState>(ThreadRegistry::kMaxSlots,
-                                          options_.numa_placement);
-    }
-    if (options_.pinning != topo::PinPolicy::None) {
-      pin_plan_ = topo::Topology::system().pin_plan(options_.pinning,
-                                                    options_.pin_cpus);
+      mvcc_ = std::make_unique<MvccState>(ThreadRegistry::kMaxSlots);
     }
   }
   Stm(const Stm&) = delete;
   Stm& operator=(const Stm&) = delete;
-
-  ~Stm() {
-    for (std::atomic<StampCell*>& cell : numa_stamp_cells_) {
-      if (StampCell* p = cell.load(std::memory_order_acquire)) {
-        p->~StampCell();
-        topo::free_onnode(p, sizeof(StampCell));
-      }
-    }
-  }
 
   Mode mode() const noexcept { return mode_; }
   const StmOptions& options() const noexcept { return options_; }
@@ -88,48 +73,25 @@ class Stm {
   ///  - `wv > lock_floor`: a committed orec's version strictly increases,
   ///    so the exact-version compares in read-set validation can never
   ///    mistake two different committed states of one var for each other.
-  /// IncOnCommit and PassOnFailure get the floor for free (the clock is
-  /// ticked past every released version before anyone can displace it);
-  /// LazyBump never writes the clock on commit, so it enforces the floor
-  /// explicitly — otherwise back-to-back commits to one var would both
-  /// release at clock+1 and reuse a version.
+  /// IncOnCommit gets the floor for free (the clock is ticked past every
+  /// released version before anyone can displace it); LazyBump never writes
+  /// the clock on commit, so it enforces the floor explicitly — otherwise
+  /// back-to-back commits to one var would both release at clock+1 and
+  /// reuse a version.
   Version generate_wv(Version lock_floor) noexcept {
-    switch (options_.clock_scheme) {
-      case ClockScheme::IncOnCommit: {
-        const Version wv = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-        assert(wv > lock_floor);
-        return wv;
-      }
-      case ClockScheme::PassOnFailure: {
-        Version g = clock_.load(std::memory_order_acquire);
-        if (clock_.compare_exchange_strong(g, g + 1,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-          assert(g + 1 > lock_floor);
-          return g + 1;
-        }
-        // Lost the race: the winner already moved the clock past us. Adopt
-        // its published value instead of retrying the RMW — sharing a wv is
-        // safe because both committers generated it while holding their
-        // (necessarily disjoint) write locks, and the adopted value still
-        // exceeds `lock_floor` (our locks happened-before our `g` load, so
-        // g >= lock_floor, and the adopted value is > g).
-        const Version wv = clock_.load(std::memory_order_acquire);
-        assert(wv > lock_floor);
-        return wv;
-      }
-      case ClockScheme::LazyBump: {
-        // Commit "in the future" without touching the clock; readers that
-        // meet the version catch the clock up (clock_catch_up). The load is
-        // seq_cst, pairing with the seq_cst CAS in clock_catch_up, so a
-        // catch-up that precedes this load in the seq_cst order is never
-        // read stale (see DESIGN.md §7 for the residual multi-copy-atomic
-        // hardware assumption this scheme shares with TL2's GV5).
-        const Version wv = clock_.load(std::memory_order_seq_cst) + 1;
-        return wv > lock_floor ? wv : lock_floor + 1;
-      }
+    if (options_.clock_scheme == ClockScheme::IncOnCommit) {
+      const Version wv = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+      assert(wv > lock_floor);
+      return wv;
     }
-    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;  // unreachable
+    // LazyBump: commit "in the future" without touching the clock; readers
+    // that meet the version catch the clock up (clock_catch_up). The load is
+    // seq_cst, pairing with the seq_cst CAS in clock_catch_up, so a catch-up
+    // that precedes this load in the seq_cst order is never read stale (see
+    // DESIGN.md §7 for the residual multi-copy-atomic hardware assumption
+    // this scheme shares with TL2's GV5).
+    const Version wv = clock_.load(std::memory_order_seq_cst) + 1;
+    return wv > lock_floor ? wv : lock_floor + 1;
   }
 
   /// Raise the clock to at least `v` (no-op if already there). LazyBump
@@ -152,9 +114,7 @@ class Stm {
   /// and strictly increasing per slot — a recycled slot resumes the previous
   /// holder's partially-used block, never reissuing a value.
   std::uint64_t next_stamp(unsigned slot) noexcept {
-    StampCell& c = options_.numa_placement == topo::NumaPlacement::Off
-                       ? stamp_cells_[slot]
-                       : numa_stamp_cell(slot);
+    StampCell& c = stamp_cells_[slot];
     if (c.next == c.end) {
       c.next = stamps_.fetch_add(kStampBlock, std::memory_order_relaxed);
       c.end = c.next + kStampBlock;
@@ -199,7 +159,6 @@ class Stm {
       return body(*cur);
     }
     Txn tx(*this);
-    if (!pin_plan_.empty()) maybe_pin(tx.slot());
     if (declared_ro && mvcc_ != nullptr) tx.mvcc_declared_ = true;
     // The attempts histogram counts every call, including one that ends in
     // a propagating user exception.
@@ -305,41 +264,9 @@ class Stm {
   };
   static constexpr std::uint64_t kStampBlock = 1024;
 
-  static std::uint64_t next_id() noexcept {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// Bind the slot's thread to its planned CPU, once per (thread, Stm). The
-  /// marker is the Stm's process-unique id, not its address, so a new Stm
-  /// reusing a destroyed one's storage still re-pins.
-  void maybe_pin(unsigned slot) noexcept {
-    thread_local std::uint64_t pinned_for = 0;
-    if (pinned_for == id_) return;
-    pinned_for = id_;
-    topo::pin_self_to(
-        pin_plan_[static_cast<std::size_t>(slot) % pin_plan_.size()]);
-  }
-
-  /// Node-local stamp cell, allocated lazily by the owning slot so the
-  /// first touch (and, with libnuma, the explicit placement) happens on the
-  /// slot's node. Only reached when numa_placement != Off; the default
-  /// config keeps the constructor-touched inline array and pays nothing.
-  StampCell& numa_stamp_cell(unsigned slot) noexcept {
-    StampCell* p = numa_stamp_cells_[slot].load(std::memory_order_acquire);
-    if (p == nullptr) [[unlikely]] {
-      p = new (topo::alloc_onnode(sizeof(StampCell), -1)) StampCell{};
-      numa_stamp_cells_[slot].store(p, std::memory_order_release);
-    }
-    return *p;
-  }
-
   alignas(kCacheLine) std::atomic<Version> clock_{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> stamps_{0};
   std::array<StampCell, ThreadRegistry::kMaxSlots> stamp_cells_{};
-  std::array<std::atomic<StampCell*>, ThreadRegistry::kMaxSlots>
-      numa_stamp_cells_{};
-  std::vector<int> pin_plan_;
   Mode mode_;
   StmOptions options_;
   Stats stats_;
@@ -347,7 +274,6 @@ class Stm {
   std::unique_ptr<MvccState> mvcc_;
   std::atomic<std::uint64_t> gate_entered_ns_{0};
   std::atomic<std::uint32_t> gate_holder_{~0u};
-  std::uint64_t id_;
 };
 
 // ---------------------------------------------------------------------------
@@ -402,9 +328,9 @@ inline bool Txn::fast_read_cut() {
   }
   // Unlocked reads carry no version, so admitting one is only sound at a
   // cut where the *entire* read set is current. Under IncOnCommit an
-  // unmoved clock proves no writer committed since rv_; the other schemes
-  // cannot prove quiescence from the clock (LazyBump never ticks), so any
-  // STM read set forces a full extension.
+  // unmoved clock proves no writer committed since rv_; LazyBump cannot
+  // prove quiescence from the clock (it never ticks), so any STM read set
+  // forces a full extension.
   if (!arena_.reads.empty() &&
       (scheme_ != ClockScheme::IncOnCommit || stm_.clock_now() != rv_))
       [[unlikely]] {

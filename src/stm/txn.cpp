@@ -610,10 +610,7 @@ void Txn::commit() {
   // Write-version generation is scheme-dependent, and so is the validation
   // skip: `rv_ + 1 == wv` proves "no writer overlapped us" only under
   // IncOnCommit, where every committer ticks the clock after taking its
-  // locks. A PassOnFailure adopter shares its wv with a concurrent winner
-  // (and a committer whose locks were taken mid-flight may adopt a tick that
-  // predates our snapshot), and LazyBump never ticks at all — both must
-  // always revalidate.
+  // locks. LazyBump never ticks at all, so it must always revalidate.
   // Registered commit fences must be held from *before* the clock advance
   // until the replay hooks finish: the moment generate_wv ticks the clock,
   // a fresh transaction's rv covers this commit, and a snapshot shadow copy
@@ -804,16 +801,15 @@ void Txn::rollback(AbortReason reason) noexcept {
       mvcc_state_->reader_end(slot_);
       mvcc_reader_ = false;
     }
-    // Auto-detection (StmOptions::mvcc_auto_readonly): an attempt that
-    // aborted without doing anything writer-shaped — no buffered or eager
-    // writes, no commit-locked/abort hooks, no abstract-lock stripes, no
-    // validated reads (flagged via mvcc_ineligible_) — retries in snapshot
-    // mode, where it cannot conflict again.
-    if (!mvcc_ineligible_ && stm_.options().mvcc_auto_readonly &&
-        arena_.writes.empty() && arena_.commit_locked_hooks.empty() &&
-        arena_.abort_hooks.empty() && arena_.lock_holds.empty() &&
-        arena_.seq_reads.empty() && arena_.fence_reads.empty() &&
-        arena_.seq_holds.empty()) {
+    // Read-only auto-detection: an attempt that aborted without doing
+    // anything writer-shaped — no buffered or eager writes, no
+    // commit-locked/abort hooks, no abstract-lock stripes, no validated
+    // reads (flagged via mvcc_ineligible_) — retries in snapshot mode, where
+    // it cannot conflict again.
+    if (!mvcc_ineligible_ && arena_.writes.empty() &&
+        arena_.commit_locked_hooks.empty() && arena_.abort_hooks.empty() &&
+        arena_.lock_holds.empty() && arena_.seq_reads.empty() &&
+        arena_.fence_reads.empty() && arena_.seq_holds.empty()) {
       // Attempts that used the optimistic read fast path retry on it (a
       // snapshot reader is fast-path ineligible, and base reads would not
       // come from the pinned snapshot anyway).

@@ -167,7 +167,6 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, CmChaosMatrixTest,
     ::testing::Combine(::testing::Values(0u, 8u),
                        ::testing::Values(stm::ClockScheme::IncOnCommit,
-                                         stm::ClockScheme::PassOnFailure,
                                          stm::ClockScheme::LazyBump)),
     [](const auto& info) {
       const unsigned fallback = std::get<0>(info.param);
@@ -189,7 +188,6 @@ TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {
     stm::StmOptions opts;
     opts.chaos = &chaos;
     opts.cm_policy = policy;
-    opts.clock_scheme = stm::ClockScheme::PassOnFailure;
     auto map = config_named("lazy_memo_lazystm").make_with(opts);
     proust::Xoshiro256 rng(seed);
     for (int i = 0; i < 300; ++i) {

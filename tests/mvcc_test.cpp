@@ -242,24 +242,6 @@ TEST(MvccTest, AutoDetectionRetriesCleanAbortsAsSnapshots) {
   EXPECT_GT(stm.stats().snapshot().ro_commits, 0u);
 }
 
-TEST(MvccTest, AutoDetectionCanBeDisabled) {
-  StmOptions o = mvcc_options();
-  o.mvcc_auto_readonly = false;
-  Stm stm(Mode::Lazy, o);
-  Var<long> v(0);
-  for (int i = 0; i < 100; ++i) {
-    stm.atomically([&](Txn& tx) {
-      (void)tx.read(v);
-      EXPECT_FALSE(tx.is_snapshot_reader());
-    });
-  }
-  // Declared read-only still works when auto-detection is off.
-  stm.atomically_ro([&](Txn& tx) {
-    EXPECT_TRUE(tx.is_snapshot_reader());
-    EXPECT_EQ(tx.read(v), 0);
-  });
-}
-
 TEST(MvccTest, WritersStillConflictAndRetryCorrectly) {
   // The counter-increment loop from the concurrent suite, under mvcc: the
   // writer path keeps TL2 semantics (no lost updates).
@@ -285,9 +267,8 @@ TEST(MvccTest, WritersStillConflictAndRetryCorrectly) {
 
 TEST(MvccTest, MvccWorksAcrossModesAndClockSchemes) {
   for (const Mode mode : {Mode::Lazy, Mode::EagerWrite, Mode::EagerAll}) {
-    for (const ClockScheme cs : {ClockScheme::IncOnCommit,
-                                 ClockScheme::PassOnFailure,
-                                 ClockScheme::LazyBump}) {
+    for (const ClockScheme cs :
+         {ClockScheme::IncOnCommit, ClockScheme::LazyBump}) {
       StmOptions o = mvcc_options();
       o.clock_scheme = cs;
       Stm stm(mode, o);

@@ -5,6 +5,8 @@
 // point. The invariant under test is always the same: a transaction that
 // reads a pair of keys the writers only ever update *together* must see
 // equal values — a torn fast-path read is exactly what would break it.
+// The ReadSeqTable cases at the end pin the sequence words' pin/release
+// contract that the races rely on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/lap.hpp"
+#include "core/read_seq.hpp"
 #include "core/txn_ordered_map.hpp"
 #include "core/txn_pqueue.hpp"
 #include "map_configs.hpp"
@@ -267,4 +270,51 @@ TEST(ReadFastPath, PQueueMinRacesChurn) {
   writer.join();
   reader.join();
   EXPECT_EQ(violations.load(), 0);
+}
+
+// --- ReadSeqTable pin/release contract ---------------------------------------
+// A mutator pins a stripe's word odd at most once per attempt, and the
+// table's finish hook bumps it back even on every outcome.
+
+TEST(ReadSeqTable, RepinIsANoOpAndCommitReleases) {
+  core::ReadSeqTable table(8);
+  EXPECT_EQ(table.stripes(), 8u);
+  EXPECT_EQ(table.word(3), table.word(11));  // stripe index is masked
+  stm::Stm stm(stm::Mode::Lazy);
+  stm.atomically([&](stm::Txn& tx) {
+    table.writer_pin(tx, 3);
+    table.writer_pin(tx, 3);
+    EXPECT_EQ(table.load(3), 1u);  // pinned once: 0 -> 1, not 2
+    EXPECT_EQ(table.load(4), 0u);
+  });
+  EXPECT_EQ(table.load(3), 2u);
+  EXPECT_TRUE(core::ReadSeqTable::stable(table.load(3)));
+  EXPECT_EQ(table.load(4), 0u);
+}
+
+TEST(ReadSeqTable, UserExceptionAbortReleases) {
+  core::ReadSeqTable table(4);
+  stm::Stm stm(stm::Mode::Lazy);
+  struct Bail {};
+  EXPECT_THROW(stm.atomically([&](stm::Txn& tx) {
+                 table.writer_pin(tx, 1);
+                 throw Bail{};
+               }),
+               Bail);
+  EXPECT_EQ(table.load(1), 2u);
+}
+
+TEST(ReadSeqTable, ConflictRetryReleasesBeforeRepinning) {
+  core::ReadSeqTable table(4);
+  stm::Stm stm(stm::Mode::Lazy);
+  std::vector<std::uint64_t> seen;  // word before and after each attempt's pin
+  int attempts = 0;
+  stm.atomically([&](stm::Txn& tx) {
+    seen.push_back(table.load(1));
+    table.writer_pin(tx, 1);
+    seen.push_back(table.load(1));
+    if (++attempts == 1) tx.retry(stm::AbortReason::ValidationFailed);
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(table.load(1), 4u);
 }

@@ -2,9 +2,9 @@
 // block-allocating stamp source:
 //  - snapshot consistency and per-thread monotonicity under every
 //    scheme × mode combination (the validation-skip fast path is only taken
-//    under IncOnCommit; PassOnFailure's shared-wv adoption and LazyBump's
-//    non-ticking clock both force full revalidation, and these stresses are
-//    what would catch a wrongly-kept skip);
+//    under IncOnCommit; LazyBump's non-ticking clock forces full
+//    revalidation, and these stresses are what would catch a wrongly-kept
+//    skip);
 //  - LazyBump progress: readers that meet a version ahead of the clock must
 //    catch the clock up instead of livelocking;
 //  - stamp blocks: globally unique, strictly increasing per thread, and
@@ -125,9 +125,6 @@ INSTANTIATE_TEST_SUITE_P(
         SchemeMode{ClockScheme::IncOnCommit, Mode::Lazy},
         SchemeMode{ClockScheme::IncOnCommit, Mode::EagerWrite},
         SchemeMode{ClockScheme::IncOnCommit, Mode::EagerAll},
-        SchemeMode{ClockScheme::PassOnFailure, Mode::Lazy},
-        SchemeMode{ClockScheme::PassOnFailure, Mode::EagerWrite},
-        SchemeMode{ClockScheme::PassOnFailure, Mode::EagerAll},
         SchemeMode{ClockScheme::LazyBump, Mode::Lazy},
         SchemeMode{ClockScheme::LazyBump, Mode::EagerWrite},
         SchemeMode{ClockScheme::LazyBump, Mode::EagerAll}),
@@ -232,18 +229,6 @@ TEST(LazyBump, SingleThreadWriteOnlyLeavesClockUntouched) {
   }
   EXPECT_EQ(stm.clock_now(), 0u) << "write-only commits must not tick GV5";
   EXPECT_EQ(a.unsafe_ref(), 99);
-}
-
-TEST(PassOnFailure, ClockTicksAtMostOncePerCommit) {
-  StmOptions o;
-  o.clock_scheme = ClockScheme::PassOnFailure;
-  Stm stm(Mode::Lazy, o);
-  Var<long> v(0);
-  for (int i = 0; i < 50; ++i) {
-    stm.atomically([&](Txn& tx) { tx.write(v, tx.read(v) + 1); });
-  }
-  EXPECT_LE(stm.clock_now(), 50u);
-  EXPECT_GT(stm.clock_now(), 0u);
 }
 
 // --- Stamp blocks -----------------------------------------------------------

@@ -1,23 +1,24 @@
-// Topology detection, pin plans, and the NUMA-aware placement plumbing
-// (DESIGN.md §13). Detection is tested against synthetic sysfs fixture
-// trees so the assertions are exact regardless of the host: a two-node SMT
-// machine, a single-CPU machine, and assorted malformed/missing-file trees
-// that must degrade to the flat fallback. The Stm-level pinning test runs
-// against the real host and skips when the kernel refuses affinity calls
-// (restricted cpusets, exotic sandboxes).
+// Topology detection, pin plans, harness pinning (DESIGN.md §13) and the
+// bench CLI/CSV plumbing. Detection is tested against synthetic sysfs
+// fixture trees so the assertions are exact regardless of the host: a
+// two-node SMT machine, a single-CPU machine, and assorted
+// malformed/missing-file trees that must degrade to the flat fallback. The
+// harness pinning test runs against the real host and skips when the kernel
+// refuses affinity calls (restricted cpusets, exotic sandboxes).
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/csv.hpp"
+#include "bench_util/harness.hpp"
 #include "common/topology.hpp"
-#include "core/read_seq.hpp"
-#include "stm/stm.hpp"
 
 namespace fs = std::filesystem;
 using namespace proust;
@@ -81,6 +82,12 @@ void populate_two_node_smt(SysfsFixture& fx) {
   for (int c = 0; c < 8; ++c) fx.cpu(c, c % 2, (c / 2) % 2);
   fx.node(0, "0,2,4,6");
   fx.node(1, "1,3,5,7");
+}
+
+bench::Cli cli_of(std::vector<std::string> args) {
+  std::vector<char*> argv{const_cast<char*>("bench")};
+  for (std::string& a : args) argv.push_back(a.data());
+  return bench::Cli(static_cast<int>(argv.size()), argv.data());
 }
 
 }  // namespace
@@ -189,134 +196,99 @@ TEST(PinPlan, ScatterAlternatesNodesCoresFirst) {
   }
 }
 
-TEST(PinPlan, NoneAndExplicit) {
+TEST(PinPlan, NoneIsEmptyAndNamesRoundTrip) {
   SysfsFixture fx;
   populate_two_node_smt(fx);
   const topo::Topology t = topo::Topology::detect(fx.root());
   EXPECT_TRUE(t.pin_plan(topo::PinPolicy::None).empty());
-  EXPECT_TRUE(t.pin_plan(topo::PinPolicy::Explicit, {}).empty());
-  EXPECT_EQ(t.pin_plan(topo::PinPolicy::Explicit, {6, 1, 6}),
-            (std::vector<int>{6, 1, 6}));
+  for (const auto& [name, policy] : bench::Cli::kPinPolicies) {
+    EXPECT_STREQ(topo::to_string(policy), name);
+  }
 }
 
-TEST(PinPlan, PolicyAndPlacementStrings) {
-  EXPECT_STREQ(topo::to_string(topo::PinPolicy::Compact), "compact");
-  EXPECT_STREQ(topo::to_string(topo::NumaPlacement::Replicate), "replicate");
-  topo::PinPolicy p{};
-  EXPECT_TRUE(topo::parse_pin_policy("scatter", p));
-  EXPECT_EQ(p, topo::PinPolicy::Scatter);
-  EXPECT_FALSE(topo::parse_pin_policy("sideways", p));
-  topo::NumaPlacement n{};
-  EXPECT_TRUE(topo::parse_numa_placement("interleave", n));
-  EXPECT_EQ(n, topo::NumaPlacement::Interleave);
-  EXPECT_FALSE(topo::parse_numa_placement("everywhere", n));
-}
-
-TEST(StmPinning, CompactPolicyBindsTransactionThread) {
-  const topo::Topology& host = topo::Topology::system();
-  const std::vector<int> plan = host.pin_plan(topo::PinPolicy::Compact);
-  ASSERT_FALSE(plan.empty());
-
-  cpu_set_t original;
-  CPU_ZERO(&original);
-  if (sched_getaffinity(0, sizeof(original), &original) != 0) {
+TEST(HarnessPinning, RunOpsTimedBindsEveryWorkerToThePlannedCpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
     GTEST_SKIP() << "sched_getaffinity unavailable";
   }
-  // Probe whether this environment lets us pin at all (restricted cpusets
-  // make pin_self_to advisory-fail, which the runtime tolerates silently).
-  if (!topo::pin_self_to(plan[0])) {
-    sched_setaffinity(0, sizeof(original), &original);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed)) ++cpu;
+  // Probe on a throwaway thread so this thread's affinity is never touched.
+  bool pinnable = false;
+  std::thread([&] { pinnable = topo::pin_self_to(cpu); }).join();
+  if (!pinnable) {
     GTEST_SKIP() << "affinity calls refused; pinning is advisory here";
   }
-  sched_setaffinity(0, sizeof(original), &original);
 
-  stm::StmOptions opts;
-  opts.pinning = topo::PinPolicy::Compact;
-  stm::Stm stm(stm::Mode::Lazy, opts);
-  unsigned slot = 0;
-  stm.atomically([&](stm::Txn& tx) { slot = tx.slot(); });
-
-  cpu_set_t after;
-  CPU_ZERO(&after);
-  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
-  EXPECT_EQ(CPU_COUNT(&after), 1);
-  EXPECT_TRUE(CPU_ISSET(plan[slot % plan.size()], &after));
-
-  sched_setaffinity(0, sizeof(original), &original);
+  constexpr int kThreads = 3;
+  constexpr long kIters = 20;
+  std::atomic<long> calls{0};
+  std::atomic<long> misbound{0};
+  bench::run_ops_timed(
+      kThreads, kIters, /*warmup_runs=*/1, /*timed_runs=*/2, /*seed=*/1,
+      std::vector<int>{cpu}, [&](int, Xoshiro256&) {
+        cpu_set_t now;
+        CPU_ZERO(&now);
+        if (sched_getaffinity(0, sizeof(now), &now) != 0 ||
+            CPU_COUNT(&now) != 1 || !CPU_ISSET(cpu, &now)) {
+          misbound.fetch_add(1, std::memory_order_relaxed);
+        }
+        calls.fetch_add(1, std::memory_order_relaxed);
+      });
+  EXPECT_EQ(calls.load(), kThreads * kIters * 3);  // 1 warm-up + 2 timed
+  EXPECT_EQ(misbound.load(), 0);
 }
 
-TEST(StmPinning, ExplicitListUsedVerbatim) {
-  cpu_set_t original;
-  CPU_ZERO(&original);
-  if (sched_getaffinity(0, sizeof(original), &original) != 0 ||
-      !topo::pin_self_to(0)) {
-    GTEST_SKIP() << "affinity calls refused";
+// Each enum-valued flag parses every name in its list, keeps the default
+// when absent, and exits with status 2 naming the accepted values otherwise.
+TEST(Cli, ModeParsesListedNamesAndRejectsOthers) {
+  for (const auto& [name, mode] : bench::Cli::kModes) {
+    EXPECT_EQ(cli_of({std::string("--mode=") + name})
+                  .get_mode("mode", stm::Mode::Lazy),
+              mode);
   }
-  sched_setaffinity(0, sizeof(original), &original);
-
-  stm::StmOptions opts;
-  opts.pinning = topo::PinPolicy::Explicit;
-  opts.pin_cpus = {0};
-  stm::Stm stm(stm::Mode::Lazy, opts);
-  stm.atomically([](stm::Txn&) {});
-
-  cpu_set_t after;
-  CPU_ZERO(&after);
-  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
-  EXPECT_TRUE(CPU_ISSET(0, &after));
-  EXPECT_EQ(CPU_COUNT(&after), 1);
-  sched_setaffinity(0, sizeof(original), &original);
+  EXPECT_EQ(cli_of({}).get_mode("mode", stm::Mode::EagerAll),
+            stm::Mode::EagerAll);
+  EXPECT_EXIT((void)cli_of({"--mode=eager"}).get_mode("mode", stm::Mode::Lazy),
+              ::testing::ExitedWithCode(2),
+              "--mode=eager: unknown value; accepted values: lazy, "
+              "eagerwrite, eagerall");
 }
 
-TEST(ReadSeqReplicate, ForcedBanksPinAndReleaseTogether) {
-  // forced_banks=2 exercises the replicated layout on a single-node host:
-  // a mutator's pin must make the stripe unstable in every bank, and the
-  // finish hook must bump every held word back even.
-  core::ReadSeqTable table(8, topo::NumaPlacement::Replicate,
-                           /*forced_banks=*/2);
-  EXPECT_EQ(table.banks(), 2u);
-  EXPECT_EQ(table.stripes(), 8u);
-  EXPECT_EQ(table.word(3), table.word(11));  // stripe index is masked
-
-  stm::Stm stm(stm::Mode::Lazy);
-  stm.atomically([&](stm::Txn& tx) {
-    table.writer_pin(tx, 3);
-    table.writer_pin(tx, 3);  // idempotent per attempt
-    EXPECT_FALSE(core::ReadSeqTable::stable(table.load(3)));
-    EXPECT_EQ(table.load(3), 1u);  // pinned once, not twice
-    EXPECT_TRUE(core::ReadSeqTable::stable(table.load(4)));
-  });
-  // Released in every bank: each word went 0 -> 1 -> 2.
-  EXPECT_TRUE(core::ReadSeqTable::stable(table.load(3)));
-  EXPECT_EQ(table.load(3), 2u);
-  EXPECT_EQ(table.load(4), 0u);
-}
-
-TEST(ReadSeqReplicate, AbortReleasesEveryBank) {
-  core::ReadSeqTable table(4, topo::NumaPlacement::Replicate,
-                           /*forced_banks=*/2);
-  stm::Stm stm(stm::Mode::Lazy);
-  struct Bail {};
-  try {
-    stm.atomically([&](stm::Txn& tx) {
-      table.writer_pin(tx, 1);
-      throw Bail{};
-    });
-  } catch (const Bail&) {
+TEST(Cli, SchemeParsesListedNamesAndRejectsOthers) {
+  for (const auto& [name, scheme] : bench::Cli::kSchemes) {
+    EXPECT_EQ(cli_of({std::string("--scheme=") + name})
+                  .get_scheme("scheme", stm::ClockScheme::IncOnCommit),
+              scheme);
   }
-  EXPECT_TRUE(core::ReadSeqTable::stable(table.load(1)));
-  EXPECT_EQ(table.load(1), 2u);
+  EXPECT_EQ(cli_of({}).get_scheme("scheme", stm::ClockScheme::LazyBump),
+            stm::ClockScheme::LazyBump);
+  EXPECT_EXIT((void)cli_of({"--scheme=pass"})
+                  .get_scheme("scheme", stm::ClockScheme::IncOnCommit),
+              ::testing::ExitedWithCode(2),
+              "--scheme=pass: unknown value; accepted values: inc, lazybump");
 }
 
-TEST(NumaArray, ConstructsAndDestroysElements) {
-  topo::NumaArray<std::vector<int>> arr(3, /*interleave=*/true);
-  ASSERT_EQ(arr.size(), 3u);
-  EXPECT_TRUE(arr[0].empty());
-  arr[2].push_back(7);
-  EXPECT_EQ(arr[2][0], 7);
-  topo::NumaArray<std::vector<int>> moved = std::move(arr);
-  EXPECT_EQ(moved.size(), 3u);
-  EXPECT_EQ(arr.size(), 0u);  // NOLINT(bugprone-use-after-move)
+TEST(Cli, PinPolicyParsesListedNamesAndRejectsOthers) {
+  for (const auto& [name, policy] : bench::Cli::kPinPolicies) {
+    EXPECT_EQ(cli_of({std::string("--pin=") + name})
+                  .get_pin_policy("pin", topo::PinPolicy::None),
+              policy);
+  }
+  EXPECT_EQ(cli_of({}).get_pin_policy("pin", topo::PinPolicy::Scatter),
+            topo::PinPolicy::Scatter);
+  EXPECT_EQ(cli_of({"--pin=scatter,none"})
+                .get_pin_policies("pin", {topo::PinPolicy::Compact}),
+            (std::vector<topo::PinPolicy>{topo::PinPolicy::Scatter,
+                                          topo::PinPolicy::None}));
+  const char* const rejected =
+      "--pin=explicit: unknown value; accepted values: none, compact, scatter";
+  EXPECT_EXIT(
+      (void)cli_of({"--pin=explicit"}).get_pin_policy("pin", {}),
+      ::testing::ExitedWithCode(2), rejected);
+  EXPECT_EXIT((void)cli_of({"--pin=none,explicit"}).get_pin_policies("pin", {}),
+              ::testing::ExitedWithCode(2), rejected);
 }
 
 TEST(Csv, RowCountMismatchThrows) {
