@@ -25,7 +25,6 @@
 
 #include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
-#include "bench_util/table.hpp"
 #include "core/lap.hpp"
 #include "stm/chaos.hpp"
 #include "stm/stm.hpp"
@@ -383,7 +382,8 @@ int run_trajectory(const bench::Cli& cli) {
                              stm::Mode::EagerAll};
 
   bench::JsonWriter json(label);
-  bench::Table table({"workload", "mode", "ops/txn", "Mops/s", "abort"});
+  std::printf("%-20s %-12s %8s %8s %8s\n", "workload", "mode", "ops/txn",
+              "Mops/s", "abort");
   for (const Spec& spec : specs) {
     for (stm::Mode mode : modes) {
       stm::Stm stm(mode, base_opts);
@@ -394,10 +394,9 @@ int run_trajectory(const bench::Cli& cli) {
       rec.scheme = stm::to_string(stm::ClockScheme::IncOnCommit);
       if (chaos) rec.with_stats(stm.stats().snapshot());
       json.add(std::move(rec));
-      table.row({cell.workload, stm::to_string(mode),
-                 std::to_string(cell.ops_per_txn),
-                 bench::Table::fmt(cell.ops_per_sec / 1e6, 2),
-                 bench::Table::fmt(cell.abort_ratio, 4)});
+      std::printf("%-20s %-12s %8d %8.2f %8.4f\n", cell.workload,
+                  stm::to_string(mode), cell.ops_per_txn,
+                  cell.ops_per_sec / 1e6, cell.abort_ratio);
     }
   }
 
@@ -413,17 +412,16 @@ int run_trajectory(const bench::Cli& cli) {
       {"mt_disjoint_write", stm::Mode::EagerWrite, 8, 120000 * scale},
       {"mt_counter", stm::Mode::Lazy, 2, 120000 * scale},
   };
-  bench::Table mt_table(
-      {"workload", "mode", "scheme", "threads", "Mops/s", "abort"});
+  std::printf("\n%-20s %-12s %-12s %8s %8s %8s\n", "workload", "mode",
+              "scheme", "threads", "Mops/s", "abort");
   for (const MtSpec& spec : mt_specs) {
     for (stm::ClockScheme scheme : schemes) {
       for (long t : mt_threads) {
         bench::JsonRecord rec =
             run_mt_cell(spec, scheme, static_cast<int>(t), chaos.get());
-        mt_table.row({rec.workload, rec.mode, rec.scheme,
-                      std::to_string(rec.threads),
-                      bench::Table::fmt(rec.ops_per_sec / 1e6, 2),
-                      bench::Table::fmt(rec.abort_ratio, 4)});
+        std::printf("%-20s %-12s %-12s %8d %8.2f %8.4f\n",
+                    rec.workload.c_str(), rec.mode.c_str(), rec.scheme.c_str(),
+                    rec.threads, rec.ops_per_sec / 1e6, rec.abort_ratio);
         json.add(std::move(rec));
       }
     }
@@ -444,18 +442,17 @@ int run_trajectory(const bench::Cli& cli) {
       {"mvcc_lazybump", true, stm::ClockScheme::LazyBump},
   };
   const int update_pcts[] = {0, 2, 10, 50};
-  bench::Table ro_table(
-      {"config", "update%", "threads", "Mops/s", "abort", "ro_commits"});
+  std::printf("\n%-14s %8s %8s %8s %8s %12s\n", "config", "update%",
+              "threads", "Mops/s", "abort", "ro_commits");
   for (const RoCfg& cfg : ro_cfgs) {
     for (int u : update_pcts) {
       for (long t : mt_threads) {
         bench::JsonRecord rec =
             run_ro_cell(cfg.name, cfg.mvcc, cfg.scheme, u,
                         static_cast<int>(t), 120000 * scale, chaos.get());
-        ro_table.row({cfg.name, std::to_string(u), std::to_string(t),
-                      bench::Table::fmt(rec.ops_per_sec / 1e6, 2),
-                      bench::Table::fmt(rec.abort_ratio, 4),
-                      std::to_string(rec.stats.ro_commits)});
+        std::printf("%-14s %8d %8ld %8.2f %8.4f %12llu\n", cfg.name, u, t,
+                    rec.ops_per_sec / 1e6, rec.abort_ratio,
+                    static_cast<unsigned long long>(rec.stats.ro_commits));
         json.add(std::move(rec));
       }
     }

@@ -46,7 +46,7 @@ ctest --test-dir build --output-on-failure -L fastpath
 echo "== topology: detection, pin plans, harness pinning, bench CLI =="
 # Sysfs-fixture detection, pin-plan orderings, bench-harness worker pinning
 # (skips in sandboxes that refuse affinity syscalls), the bench CLI's
-# rejection of unknown enum values, and the CSV writer.
+# rejection of bad command lines, and the CSV/JSON row output.
 ctest --test-dir build --output-on-failure -L topology
 
 echo "== durability: WAL + checkpoint crash/fault recovery matrices =="
@@ -66,11 +66,16 @@ python3 scripts/wal_inspect.py --selftest > /dev/null \
   && echo "wal_inspect selftest ok"
 ctest --test-dir build --output-on-failure -L durability
 
-echo "== matrix: scenario-matrix smoke + CSV post-process =="
+echo "== bench: every bench_matrix preset at smoke size =="
+# One ctest per preset (also part of tier-1), plus the driver's rejection of
+# bad command lines.
+ctest --test-dir build --output-on-failure -L bench
+
+echo "== matrix: matrix preset smoke + CSV post-process =="
 # Tiny grid over every family x pinning cell, CSV consumed end-to-end by
 # plot_results.py (text fallback without matplotlib) — catches schema drift
 # between the bench driver and the post-processor.
-scripts/run_experiments.sh --smoke --out build/smoke-results
+scripts/run_experiments.sh --preset=matrix --smoke --out build/smoke-results
 
 if [[ "$SKIP_TSAN" == 1 ]]; then
   echo "== tsan: skipped =="

@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
-# Drive the unified scenario matrix end-to-end: build the bench, sweep the
-# workload x topology grid, and post-process the CSV into plots (or text
-# summaries when matplotlib is absent).
+# Run one bench_matrix preset end to end: build the driver (always the
+# incremental build, so the binary matches the source), run the preset, and
+# post-process its CSV into the preset's tables (plus plots when matplotlib
+# is installed).
 #
-# Usage: scripts/run_experiments.sh [--smoke] [--out DIR] [-- EXTRA_ARGS...]
-#   --smoke       tiny grid (~seconds); the CI matrix-smoke job runs this
-#   --out DIR     results directory (default: results/)
-#   EXTRA_ARGS    forwarded verbatim to bench_scenario_matrix after `--`
+# Usage: scripts/run_experiments.sh [--preset=NAME] [--smoke] [--out DIR]
+#                                   [-- EXTRA_ARGS...]
+#   --preset=NAME  bench_matrix preset (default: matrix); writes
+#                  DIR/NAME.csv, DIR/NAME.json and DIR/NAME.summary.txt
+#   --smoke        the preset at smoke size (seconds); CI's matrix-smoke job
+#                  runs this
+#   --out DIR      results directory (default: results/)
+#   EXTRA_ARGS     forwarded to bench_matrix after `--` (axis overrides)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+PRESET=matrix
 SMOKE=0
 OUT=results
 EXTRA=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
+    --preset=*) PRESET="${1#--preset=}"; shift ;;
     --smoke) SMOKE=1; shift ;;
     --out) OUT="$2"; shift 2 ;;
     --) shift; EXTRA=("$@"); break ;;
@@ -22,23 +29,23 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-if [[ ! -x build/bench/bench_scenario_matrix ]]; then
-  echo "== build bench_scenario_matrix =="
+echo "== build bench_matrix =="
+if [[ ! -f build/CMakeCache.txt ]]; then
   cmake --preset default
-  cmake --build --preset default -j"$(nproc)" --target bench_scenario_matrix
 fi
+cmake --build --preset default -j"$(nproc)" --target bench_matrix
 
 mkdir -p "$OUT"
-CSV="$OUT/scenario_matrix.csv"
-JSON="$OUT/scenario_matrix.json"
+CSV="$OUT/$PRESET.csv"
+JSON="$OUT/$PRESET.json"
 
-ARGS=(--csv="$CSV" --json="$JSON" --label=pr8-topology)
+ARGS=(--preset="$PRESET" --json="$JSON" --label="$PRESET")
 if [[ "$SMOKE" == 1 ]]; then
   ARGS+=(--smoke)
 fi
 
-echo "== run scenario matrix =="
-./build/bench/bench_scenario_matrix "${ARGS[@]}" "${EXTRA[@]+"${EXTRA[@]}"}"
+echo "== run bench_matrix ${ARGS[*]} ${EXTRA[*]+"${EXTRA[*]}"} =="
+./build/bench/bench_matrix "${ARGS[@]}" "${EXTRA[@]+"${EXTRA[@]}"}" > "$CSV"
 
 echo "== post-process =="
 python3 scripts/plot_results.py "$CSV" --out "$OUT"
@@ -47,9 +54,9 @@ if [[ "$SMOKE" == 1 ]]; then
   echo "== post-process hardening: malformed CSV inputs =="
   # A crash-interrupted sweep leaves a truncated tail (or nothing at all);
   # the post-processor must skip such rows with a warning and still exit 0.
-  MANGLED="$OUT/scenario_matrix.mangled.csv"
+  MANGLED="$OUT/$PRESET.mangled.csv"
   head -c "$(($(wc -c < "$CSV") - 17))" "$CSV" > "$MANGLED"
-  printf 'map,torn-impl,lazy,not-a-number\n' >> "$MANGLED"
+  printf '%s,map,torn-impl,-,Lazy,not-a-number\n' "$PRESET" >> "$MANGLED"
   python3 scripts/plot_results.py "$MANGLED" --out "$OUT/mangled"
   : > "$OUT/empty.csv"
   python3 scripts/plot_results.py "$OUT/empty.csv" --out "$OUT/mangled"

@@ -2,17 +2,20 @@
 // §7: each exposes
 //    txn(body)   — run `body(view)` as one atomic transaction, where `view`
 //                  has put/get/remove/contains;
-//    prefill(k,v), stats(), reset_stats(), name().
-// This is what lets one harness drive the pure-STM baseline, predication,
-// and the four Proustian configurations over identical workloads.
+//    prefill(k,v), name(), and stm() (the Stm whose stats the harness reads,
+//    or nullptr for the non-STM global lock).
+// This is what lets one harness drive the pure-STM baselines, predication,
+// and the Proustian configurations over identical workloads.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "baselines/coarse_lock_map.hpp"
 #include "baselines/predication_map.hpp"
 #include "baselines/pure_stm_map.hpp"
+#include "baselines/pure_stm_tree_map.hpp"
 #include "core/lazy_hash_map.hpp"
 #include "core/lazy_trie_map.hpp"
 #include "core/txn_hash_map.hpp"
@@ -32,19 +35,21 @@ struct TxView {
   bool contains(long k) { return m.contains(tx, k); }
 };
 
-template <class Derived, class Map>
+template <class Derived>
 class StmAdapterBase {
  public:
   template <class Body>
   void txn(Body&& body) {
+    auto& m = static_cast<Derived*>(this)->map();
     stm_.atomically([&](stm::Txn& tx) {
-      TxView<Map> view{static_cast<Derived*>(this)->map(), tx};
+      TxView<std::remove_reference_t<decltype(m)>> view{m, tx};
       body(view);
     });
   }
-  stm::StatsSnapshot stats() { return stm_.stats().snapshot(); }
-  void reset_stats() { stm_.stats().reset(); }
-  stm::Stm& stm() noexcept { return stm_; }
+  void prefill(long k, long v) {
+    static_cast<Derived*>(this)->map().unsafe_put(k, v);
+  }
+  stm::Stm* stm() noexcept { return &stm_; }
 
  protected:
   explicit StmAdapterBase(stm::Mode mode, stm::StmOptions opts = {})
@@ -52,64 +57,66 @@ class StmAdapterBase {
   stm::Stm stm_;
 };
 
-class PureStmAdapter
-    : public StmAdapterBase<PureStmAdapter, baselines::PureStmMap<long, long>> {
-  using Map = baselines::PureStmMap<long, long>;
-
+class PureStmAdapter : public StmAdapterBase<PureStmAdapter> {
  public:
   PureStmAdapter(stm::Mode mode, long key_range, stm::StmOptions opts = {})
       : StmAdapterBase(mode, opts),
         map_(stm_, static_cast<std::size_t>(key_range) * 4) {}
   static std::string name() { return "pure-stm"; }
-  Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
+  baselines::PureStmMap<long, long>& map() noexcept { return map_; }
 
  private:
-  Map map_;
+  baselines::PureStmMap<long, long> map_;
 };
 
-class PredicationAdapter
-    : public StmAdapterBase<PredicationAdapter,
-                            baselines::PredicationMap<long, long>> {
-  using Map = baselines::PredicationMap<long, long>;
+/// The pure-STM treap (structural false conflicts: rotations and the root
+/// pointer put logically-disjoint keys into shared locations).
+class PureStmTreeAdapter : public StmAdapterBase<PureStmTreeAdapter> {
+ public:
+  explicit PureStmTreeAdapter(stm::Mode mode, stm::StmOptions opts = {})
+      : StmAdapterBase(mode, opts), map_(stm_, 8192) {}
+  static std::string name() { return "pure-stm-tree"; }
+  baselines::PureStmTreeMap<long, long>& map() noexcept { return map_; }
 
+ private:
+  baselines::PureStmTreeMap<long, long> map_;
+};
+
+class PredicationAdapter : public StmAdapterBase<PredicationAdapter> {
  public:
   explicit PredicationAdapter(stm::Mode mode, stm::StmOptions opts = {})
       : StmAdapterBase(mode, opts), map_(stm_) {}
   static std::string name() { return "predication"; }
-  Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
+  baselines::PredicationMap<long, long>& map() noexcept { return map_; }
 
  private:
-  Map map_;
+  baselines::PredicationMap<long, long> map_;
 };
 
-/// Proust eager map over the optimistic LAP (eager/optimistic quadrant).
-class EagerOptAdapter
-    : public StmAdapterBase<
-          EagerOptAdapter,
-          core::TxnHashMap<long, long, core::OptimisticLap<long>>> {
+/// Proust eager map over the optimistic LAP (eager/optimistic quadrant);
+/// `combine` enables undo-log combining (a §9 extension).
+class EagerOptAdapter : public StmAdapterBase<EagerOptAdapter> {
   using Lap = core::OptimisticLap<long>;
   using Map = core::TxnHashMap<long, long, Lap>;
 
  public:
-  EagerOptAdapter(stm::Mode mode, std::size_t ca_slots,
+  EagerOptAdapter(stm::Mode mode, std::size_t ca_slots, bool combine = false,
                   stm::StmOptions opts = {})
-      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_) {}
-  static std::string name() { return "proust-eager"; }
+      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots),
+        map_(lap_, 64, combine), combine_(combine) {}
+  std::string name() const {
+    return combine_ ? "proust-eager+c" : "proust-eager";
+  }
   Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
   Map map_;
+  bool combine_;
 };
 
 /// Proust eager map over the pessimistic LAP (Boosting quadrant).
-class PessimisticAdapter
-    : public StmAdapterBase<
-          PessimisticAdapter,
-          core::TxnHashMap<long, long, core::PessimisticLap<long>>> {
+class PessimisticAdapter : public StmAdapterBase<PessimisticAdapter> {
   using Lap = core::PessimisticLap<long>;
   using Map = core::TxnHashMap<long, long, Lap>;
 
@@ -122,7 +129,6 @@ class PessimisticAdapter
         map_(lap_, stripes) {}
   static std::string name() { return "proust-pess"; }
   Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
@@ -132,10 +138,7 @@ class PessimisticAdapter
 /// Proust lazy-memoizing map over the pessimistic LAP — the sound
 /// lazy/pessimistic cell of Figure 1 (the memo table reads the base per key
 /// under that key's abstract lock, so observed values are committed ones).
-class LazyMemoPessAdapter
-    : public StmAdapterBase<
-          LazyMemoPessAdapter,
-          core::LazyHashMap<long, long, core::PessimisticLap<long>>> {
+class LazyMemoPessAdapter : public StmAdapterBase<LazyMemoPessAdapter> {
   using Lap = core::PessimisticLap<long>;
   using Map = core::LazyHashMap<long, long, Lap>;
 
@@ -146,45 +149,42 @@ class LazyMemoPessAdapter
         map_(lap_, /*combine_log=*/false) {}
   static std::string name() { return "proust-pess-lazy"; }
   Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
   Map map_;
 };
 
-/// Proust lazy map with snapshot shadow copies (LazyTrieMap of Fig. 2b).
-class LazySnapshotAdapter
-    : public StmAdapterBase<
-          LazySnapshotAdapter,
-          core::LazyTrieMap<long, long, core::OptimisticLap<long>>> {
+/// Proust lazy map with snapshot shadow copies (LazyTrieMap of Fig. 2b);
+/// `combine` enables snapshot-replay combining (a §9 extension).
+class LazySnapshotAdapter : public StmAdapterBase<LazySnapshotAdapter> {
   using Lap = core::OptimisticLap<long>;
   using Map = core::LazyTrieMap<long, long, Lap>;
 
  public:
   LazySnapshotAdapter(stm::Mode mode, std::size_t ca_slots,
-                      stm::StmOptions opts = {})
-      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_) {}
-  static std::string name() { return "proust-lazy-snap"; }
+                      bool combine = false, stm::StmOptions opts = {})
+      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_, combine),
+        combine_(combine) {}
+  std::string name() const {
+    return combine_ ? "proust-lazy-snap+c" : "proust-lazy-snap";
+  }
   Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
   Map map_;
+  bool combine_;
 };
 
 /// Proust lazy map with memoizing shadow copies (§4's LazyHashMap); the
 /// `combine` flag enables the log-combining optimization (Fig. 4 bottom).
-class LazyMemoAdapter
-    : public StmAdapterBase<
-          LazyMemoAdapter,
-          core::LazyHashMap<long, long, core::OptimisticLap<long>>> {
+class LazyMemoAdapter : public StmAdapterBase<LazyMemoAdapter> {
   using Lap = core::OptimisticLap<long>;
   using Map = core::LazyHashMap<long, long, Lap>;
 
  public:
-  LazyMemoAdapter(stm::Mode mode, std::size_t ca_slots, bool combine,
+  LazyMemoAdapter(stm::Mode mode, std::size_t ca_slots, bool combine = false,
                   stm::StmOptions opts = {})
       : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_, combine),
         combine_(combine) {}
@@ -192,7 +192,6 @@ class LazyMemoAdapter
     return combine_ ? "proust-lazy-memo+c" : "proust-lazy-memo";
   }
   Map& map() noexcept { return map_; }
-  void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
@@ -211,8 +210,7 @@ class GlobalLockAdapter {
     map_.transaction([&](Map& m) { body(m); });
   }
   void prefill(long k, long v) { map_.unsafe_put(k, v); }
-  stm::StatsSnapshot stats() { return {}; }
-  void reset_stats() {}
+  static stm::Stm* stm() noexcept { return nullptr; }
 
  private:
   Map map_;

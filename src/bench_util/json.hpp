@@ -1,7 +1,7 @@
-// Machine-readable benchmark output. Drivers that print paper-style tables
-// can also accumulate JsonRecords and dump them with `--json <path>`, so a
-// perf trajectory can be tracked across PRs (see BENCH_STM.json at the repo
-// top level). The schema is deliberately flat: one record per measured cell.
+// The JSON record schema of bench_micro_stm's trajectory runs (see
+// BENCH_STM.json at the repo top level): one flat record per measured cell.
+// bench_matrix writes its rows as JSON through bench_util/row.hpp, which
+// shares the string escaping below.
 #pragma once
 
 #include <cstdio>
@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/topology.hpp"
+#include "bench_util/topology.hpp"
 #include "stm/stats.hpp"
 
 namespace proust::bench {
@@ -24,8 +24,7 @@ struct JsonRecord {
   double ops_per_sec = 0;
   double abort_ratio = 0;
   std::string scheme;  // clock scheme, or "" when not applicable
-  long extra = -1;     // auxiliary swept knob (e.g. striping size M); < 0 = none
-  std::string pin;     // pinning policy of the cell, or "" when not swept
+  long extra = -1;     // auxiliary swept knob (e.g. update %); < 0 = none
 
   /// Optional attempt-level breakdown (starts/commits/extensions and aborts
   /// by reason) so scheme/mode ablations are diagnosable from the JSON, not
@@ -68,9 +67,6 @@ class JsonWriter {
       }
       if (r.extra >= 0) {
         std::fprintf(f, ", \"extra\": %ld", r.extra);
-      }
-      if (!r.pin.empty()) {
-        std::fprintf(f, ", \"pin\": \"%s\"", escape(r.pin).c_str());
       }
       // Host topology in every record: entries from different machines in
       // one BENCH_STM.json stay machine-comparable.
@@ -147,19 +143,25 @@ class JsonWriter {
     return ok;
   }
 
-  const std::vector<JsonRecord>& records() const noexcept { return records_; }
-
- private:
+  /// The body of a JSON string literal holding `s`: quote, backslash and
+  /// every control character below 0x20 are escaped.
   static std::string escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
+    for (const char c : s) {
+      if (static_cast<unsigned char>(c) < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+        continue;
+      }
       if (c == '"' || c == '\\') out.push_back('\\');
       out.push_back(c);
     }
     return out;
   }
 
+ private:
   std::string label_;
   std::vector<JsonRecord> records_;
 };

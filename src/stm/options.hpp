@@ -20,7 +20,7 @@ enum class CmPolicy : std::uint8_t {
   /// Randomized exponential backoff (default; what the evaluation uses).
   ExponentialBackoff,
   /// Retry immediately. Maximal livelock exposure; the ablation baseline
-  /// that bench_contention_mgmt measures backoff against.
+  /// that `bench_matrix --preset=cm` measures backoff against.
   None,
 };
 
@@ -144,7 +144,8 @@ struct StmOptions {
   /// contract as `chaos`: non-owning, must outlive every transaction of
   /// this Stm, nullptr (default) disables durability entirely — commits
   /// then pay one predictable never-taken branch and Txn::wal_log is a
-  /// no-op (bench_wal's paired A/B pins the neutrality).
+  /// no-op (`bench_matrix --preset=wal-ab`'s paired A/B pins the
+  /// neutrality).
   Wal* durability = nullptr;
 
   /// What a *failed* log refuses (wal.hpp: a fatal storage error fails the

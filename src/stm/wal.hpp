@@ -3,7 +3,7 @@
 // off `StmOptions::durability` exactly like the chaos policy hangs off
 // `StmOptions::chaos`: a non-owning pointer, nullptr by default, and every
 // hot-path touch is one predictable never-taken branch — the paired A/B run
-// in bench_wal pins the neutrality.
+// of `bench_matrix --preset=wal-ab` pins the neutrality.
 //
 // Model. Transactions stage *logical redo records* while they run: wrapper
 // layers log one record per structure operation (put/remove — the same op

@@ -1,5 +1,6 @@
 // Topology detection, pin plans, harness pinning (DESIGN.md §13) and the
-// bench CLI/CSV plumbing. Detection is tested against synthetic sysfs
+// bench plumbing: the CLI's rejection of bad command lines and the row
+// output (CSV and JSON). Detection is tested against synthetic sysfs
 // fixture trees so the assertions are exact regardless of the host: a
 // two-node SMT machine, a single-CPU machine, and assorted
 // malformed/missing-file trees that must degrade to the flat fallback. The
@@ -16,9 +17,10 @@
 #include <vector>
 
 #include "bench_util/cli.hpp"
-#include "bench_util/csv.hpp"
 #include "bench_util/harness.hpp"
-#include "common/topology.hpp"
+#include "bench_util/json.hpp"
+#include "bench_util/row.hpp"
+#include "bench_util/topology.hpp"
 
 namespace fs = std::filesystem;
 using namespace proust;
@@ -225,9 +227,13 @@ TEST(HarnessPinning, RunOpsTimedBindsEveryWorkerToThePlannedCpu) {
   constexpr long kIters = 20;
   std::atomic<long> calls{0};
   std::atomic<long> misbound{0};
-  bench::run_ops_timed(
-      kThreads, kIters, /*warmup_runs=*/1, /*timed_runs=*/2, /*seed=*/1,
-      std::vector<int>{cpu}, [&](int, Xoshiro256&) {
+  bench::RunConfig cfg;
+  cfg.threads = kThreads;
+  cfg.total_ops = kThreads * kIters;
+  cfg.warmup_runs = 1;
+  cfg.timed_runs = 2;
+  cfg.pin_plan = {cpu};
+  bench::run_ops_timed(cfg, [&](int, Xoshiro256&) {
         cpu_set_t now;
         CPU_ZERO(&now);
         if (sched_getaffinity(0, sizeof(now), &now) != 0 ||
@@ -245,12 +251,17 @@ TEST(HarnessPinning, RunOpsTimedBindsEveryWorkerToThePlannedCpu) {
 TEST(Cli, ModeParsesListedNamesAndRejectsOthers) {
   for (const auto& [name, mode] : bench::Cli::kModes) {
     EXPECT_EQ(cli_of({std::string("--mode=") + name})
-                  .get_mode("mode", stm::Mode::Lazy),
+                  .get_enum("mode", stm::Mode::Lazy, bench::Cli::kModes),
               mode);
   }
-  EXPECT_EQ(cli_of({}).get_mode("mode", stm::Mode::EagerAll),
+  EXPECT_EQ(cli_of({}).get_enum("mode", stm::Mode::EagerAll,
+                                bench::Cli::kModes),
             stm::Mode::EagerAll);
-  EXPECT_EXIT((void)cli_of({"--mode=eager"}).get_mode("mode", stm::Mode::Lazy),
+  EXPECT_EQ(cli_of({"--mode=eagerall,lazy"})
+                .get_enums("mode", {stm::Mode::EagerWrite}, bench::Cli::kModes),
+            (std::vector<stm::Mode>{stm::Mode::EagerAll, stm::Mode::Lazy}));
+  EXPECT_EXIT((void)cli_of({"--mode=eager"})
+                  .get_enum("mode", stm::Mode::Lazy, bench::Cli::kModes),
               ::testing::ExitedWithCode(2),
               "--mode=eager: unknown value; accepted values: lazy, "
               "eagerwrite, eagerall");
@@ -259,13 +270,16 @@ TEST(Cli, ModeParsesListedNamesAndRejectsOthers) {
 TEST(Cli, SchemeParsesListedNamesAndRejectsOthers) {
   for (const auto& [name, scheme] : bench::Cli::kSchemes) {
     EXPECT_EQ(cli_of({std::string("--scheme=") + name})
-                  .get_scheme("scheme", stm::ClockScheme::IncOnCommit),
+                  .get_enum("scheme", stm::ClockScheme::IncOnCommit,
+                            bench::Cli::kSchemes),
               scheme);
   }
-  EXPECT_EQ(cli_of({}).get_scheme("scheme", stm::ClockScheme::LazyBump),
+  EXPECT_EQ(cli_of({}).get_enum("scheme", stm::ClockScheme::LazyBump,
+                                bench::Cli::kSchemes),
             stm::ClockScheme::LazyBump);
   EXPECT_EXIT((void)cli_of({"--scheme=pass"})
-                  .get_scheme("scheme", stm::ClockScheme::IncOnCommit),
+                  .get_enum("scheme", stm::ClockScheme::IncOnCommit,
+                            bench::Cli::kSchemes),
               ::testing::ExitedWithCode(2),
               "--scheme=pass: unknown value; accepted values: inc, lazybump");
 }
@@ -273,62 +287,134 @@ TEST(Cli, SchemeParsesListedNamesAndRejectsOthers) {
 TEST(Cli, PinPolicyParsesListedNamesAndRejectsOthers) {
   for (const auto& [name, policy] : bench::Cli::kPinPolicies) {
     EXPECT_EQ(cli_of({std::string("--pin=") + name})
-                  .get_pin_policy("pin", topo::PinPolicy::None),
+                  .get_enum("pin", topo::PinPolicy::None,
+                            bench::Cli::kPinPolicies),
               policy);
   }
-  EXPECT_EQ(cli_of({}).get_pin_policy("pin", topo::PinPolicy::Scatter),
+  EXPECT_EQ(cli_of({}).get_enum("pin", topo::PinPolicy::Scatter,
+                                bench::Cli::kPinPolicies),
             topo::PinPolicy::Scatter);
   EXPECT_EQ(cli_of({"--pin=scatter,none"})
-                .get_pin_policies("pin", {topo::PinPolicy::Compact}),
+                .get_enums("pin", {topo::PinPolicy::Compact},
+                           bench::Cli::kPinPolicies),
             (std::vector<topo::PinPolicy>{topo::PinPolicy::Scatter,
                                           topo::PinPolicy::None}));
   const char* const rejected =
       "--pin=explicit: unknown value; accepted values: none, compact, scatter";
-  EXPECT_EXIT(
-      (void)cli_of({"--pin=explicit"}).get_pin_policy("pin", {}),
-      ::testing::ExitedWithCode(2), rejected);
-  EXPECT_EXIT((void)cli_of({"--pin=none,explicit"}).get_pin_policies("pin", {}),
+  EXPECT_EXIT((void)cli_of({"--pin=explicit"})
+                  .get_enum("pin", topo::PinPolicy::None,
+                            bench::Cli::kPinPolicies),
+              ::testing::ExitedWithCode(2), rejected);
+  EXPECT_EXIT((void)cli_of({"--pin=none,explicit"})
+                  .get_enums("pin", {}, bench::Cli::kPinPolicies),
               ::testing::ExitedWithCode(2), rejected);
 }
 
-TEST(Csv, RowCountMismatchThrows) {
-  bench::CsvWriter csv({"a", "b"});
-  csv.row({"1", "2"});
-  EXPECT_THROW(csv.row({"1"}), std::invalid_argument);
-  EXPECT_THROW(csv.row({"1", "2", "3"}), std::invalid_argument);
-  EXPECT_EQ(csv.row_count(), 1u);
+// A command line the driver cannot honour exits with status 2 and names the
+// flag, instead of running something else.
+TEST(Cli, UnknownFlagsAndMisusedSwitchesExit2) {
+  const std::vector<std::string> switches{"smoke"};
+  const std::vector<std::string> values{"threads", "runs"};
+  const auto parse = [&](std::vector<std::string> args) {
+    std::vector<char*> argv{const_cast<char*>("bench")};
+    for (std::string& a : args) argv.push_back(a.data());
+    (void)bench::Cli(static_cast<int>(argv.size()), argv.data(), switches,
+                     values);
+  };
+  parse({"--smoke", "--threads=1,2", "--runs=3"});  // accepted
+  EXPECT_EXIT(parse({"--thread=1"}), ::testing::ExitedWithCode(2),
+              "unknown flag --thread=1; accepted flags: --smoke, --threads, "
+              "--runs");
+  EXPECT_EXIT(parse({"threads=1"}), ::testing::ExitedWithCode(2),
+              "unknown flag threads=1");
+  EXPECT_EXIT(parse({"--smoke=1"}), ::testing::ExitedWithCode(2),
+              "--smoke takes no value");
+  EXPECT_EXIT(parse({"--threads"}), ::testing::ExitedWithCode(2),
+              "--threads needs a value");
 }
 
-TEST(Csv, Rfc4180Escaping) {
-  EXPECT_EQ(bench::CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(bench::CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(bench::CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(bench::CsvWriter::escape("two\nlines"), "\"two\nlines\"");
-  EXPECT_EQ(bench::CsvWriter::fmt(1.25, 1), "1.2");
-  EXPECT_EQ(bench::CsvWriter::fmt(3.14159, 3), "3.142");
+TEST(Cli, CountsMustParseAndBePositive) {
+  EXPECT_EQ(cli_of({"--threads=1,4"}).get_longs("threads", {2}),
+            (std::vector<long>{1, 4}));
+  EXPECT_EQ(cli_of({}).get_longs("threads", {2}), std::vector<long>{2});
+  EXPECT_EXIT((void)cli_of({"--threads=0"}).get_longs("threads", {1}),
+              ::testing::ExitedWithCode(2), "--threads=0: must be >= 1");
+  EXPECT_EXIT((void)cli_of({"--threads=1,0"}).get_longs("threads", {1}),
+              ::testing::ExitedWithCode(2), "--threads=0: must be >= 1");
+  EXPECT_EXIT((void)cli_of({"--runs=0"}).get_long("runs", 3, 1),
+              ::testing::ExitedWithCode(2), "--runs=0: must be >= 1");
+  EXPECT_EXIT((void)cli_of({"--threads=x"}).get_longs("threads", {1}),
+              ::testing::ExitedWithCode(2), "--threads=x: not an integer");
+  EXPECT_EXIT((void)cli_of({"--ops=5k"}).get_long("ops", 1, 1),
+              ::testing::ExitedWithCode(2), "--ops=5k: not an integer");
+  EXPECT_EXIT((void)cli_of({"--u=0.5,two"}).get_doubles("u", {0.5}),
+              ::testing::ExitedWithCode(2), "--u=two: not a number in 0..1");
+  EXPECT_EXIT((void)cli_of({"--u=1.5"}).get_doubles("u", {0.5}),
+              ::testing::ExitedWithCode(2), "--u=1.5: not a number in 0..1");
 }
 
-TEST(Csv, WritesHeaderAndHostFields) {
-  std::vector<std::string> cols{"x"};
-  for (const std::string& c : bench::CsvWriter::host_columns()) {
-    cols.push_back(c);
-  }
-  bench::CsvWriter csv(cols);
-  std::vector<std::string> row{"1"};
-  for (const std::string& f : bench::CsvWriter::host_fields()) {
-    row.push_back(f);
-  }
-  csv.row(row);
+TEST(Cli, StatAcceptsOnlyMinAndMean) {
+  EXPECT_TRUE(cli_of({"--stat=min"}).get_enum("stat", false,
+                                              bench::Cli::kStats));
+  EXPECT_FALSE(cli_of({"--stat=mean"}).get_enum("stat", true,
+                                                bench::Cli::kStats));
+  EXPECT_EXIT((void)cli_of({"--stat=median"})
+                  .get_enum("stat", false, bench::Cli::kStats),
+              ::testing::ExitedWithCode(2),
+              "--stat=median: unknown value; accepted values: mean, min");
+}
 
-  const fs::path path =
-      fs::temp_directory_path() / "proust_csv_test_out.csv";
-  ASSERT_TRUE(csv.write(path.string()));
+TEST(Row, OneHeaderAndDashesForUnusedColumns) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* mem = open_memstream(&buf, &len);
+  ASSERT_NE(mem, nullptr);
+  {
+    bench::RowSink sink(mem);
+    bench::Row r;
+    r.preset = "counter";
+    r.family = "counter";
+    r.impl = "a,b";  // RFC-4180 quoting
+    r.threads = 4;
+    r.u = 0.25;
+    sink.add(r);
+  }
+  std::fclose(mem);
+  const std::string out(buf, len);
+  std::free(buf);
+  const std::string header = out.substr(0, out.find('\n'));
+  const std::string row = out.substr(header.size() + 1);
+  EXPECT_EQ(header.rfind("preset,family,impl,variant,mode,scheme,threads,", 0),
+            0u);
+  EXPECT_NE(header.find(",host_cpus,host_nodes,host_smt"), std::string::npos);
+  EXPECT_EQ(row.rfind("counter,counter,\"a,b\",-,-,-,4,-,0.250,-,", 0), 0u);
+  EXPECT_EQ(bench::RowSink::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(bench::RowSink::csv_escape("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(bench::fmt(3.14159, 3), "3.142");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(bench::JsonWriter::escape("x\ty\nz"), "x\\u0009y\\u000az");
+  EXPECT_EQ(bench::JsonWriter::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(bench::JsonWriter::escape(std::string("\x01", 1)), "\\u0001");
+
+  const fs::path path = fs::temp_directory_path() / "proust_row_test.json";
+  std::FILE* csv = std::tmpfile();
+  ASSERT_NE(csv, nullptr);
+  bench::RowSink sink(csv);
+  bench::Row r;
+  r.impl = "pure-stm";
+  r.threads = 2;
+  sink.add(r);
+  ASSERT_TRUE(sink.write_json(path.string(), "x\ty"));
   std::ifstream in(path);
-  std::string header, data;
-  std::getline(in, header);
-  std::getline(in, data);
-  EXPECT_EQ(header, "x,host_cpus,host_nodes,host_smt");
-  EXPECT_EQ(data.substr(0, 2), "1,");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"label\": \"x\\u0009y\""), std::string::npos);
+  EXPECT_NE(text.find("\"impl\": \"pure-stm\", \"variant\": null"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"threads\": 2,"), std::string::npos);
+  std::fclose(csv);
   std::error_code ec;
   fs::remove(path, ec);
 }
