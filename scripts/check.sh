@@ -65,6 +65,11 @@ echo "== durability: WAL + checkpoint crash/fault recovery matrices =="
 python3 scripts/wal_inspect.py --selftest > /dev/null \
   && echo "wal_inspect selftest ok"
 ctest --test-dir build --output-on-failure -L durability
+# The live-process suites again, up to 50 passes each, stopping at the
+# first failure: races between committers, the group committer and strict
+# waiters that one pass on an idle machine can miss.
+ctest --test-dir build --output-on-failure \
+  -R '^(wal_test|checkpoint_test|chaos_fs_test)$' --repeat until-fail:50
 
 echo "== bench: every bench_matrix preset at smoke size =="
 # One ctest per preset (also part of tier-1), plus the driver's rejection of

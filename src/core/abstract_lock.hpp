@@ -116,12 +116,12 @@ class AbstractLock {
   // propagate (a previously admitted read failed revalidation).
 
   /// Eager wrappers: bracketed by a ReadSeqTable stripe word that mutators
-  /// pin odd across mutation + rollback.
+  /// pin odd across mutation + rollback (null: the table is disabled).
   template <class F>
   auto try_read_unlocked(stm::Txn& tx,
                          const std::atomic<std::uint64_t>* word, F&& op)
       -> std::optional<std::invoke_result_t<F&>> {
-    if (!tx.fast_read_eligible()) return std::nullopt;
+    if (!tx.fast_read_eligible() || word == nullptr) return std::nullopt;
     if (tx.chaos_fastpath_fallback()) [[unlikely]] {
       tx.note_fastpath_fallback();
       return std::nullopt;

@@ -35,20 +35,25 @@ namespace proust::core {
 
 class ReadSeqTable {
  public:
-  explicit ReadSeqTable(std::size_t stripes)
+  /// A wrapper passes `enabled = stm.options().optimistic_reads` for its
+  /// Stm. Nothing reads the words otherwise, so a disabled table allocates
+  /// none, word() returns null (the fast path falls back at once) and the
+  /// wrapper skips writer_pin.
+  explicit ReadSeqTable(std::size_t stripes, bool enabled = true)
       : mask_(next_pow2(stripes) - 1),
-        words_(std::make_unique<Word[]>(mask_ + 1)) {}
+        words_(enabled ? std::make_unique<Word[]>(mask_ + 1) : nullptr) {}
 
   ReadSeqTable(const ReadSeqTable&) = delete;
   ReadSeqTable& operator=(const ReadSeqTable&) = delete;
 
   std::size_t stripes() const noexcept { return mask_ + 1; }
+  bool enabled() const noexcept { return words_ != nullptr; }
 
-  /// The stripe's word for fast-path bracketing. Callers hash with the same
-  /// function as the base structure so stripe == base shard (a coarser or
-  /// finer mapping is still correct, just noisier).
+  /// The stripe's word for fast-path bracketing (null when disabled).
+  /// Callers hash with the same function as the base structure so stripe ==
+  /// base shard (a coarser or finer mapping is still correct, just noisier).
   const std::atomic<std::uint64_t>* word(std::size_t stripe) const noexcept {
-    return &words_[stripe & mask_].v;
+    return enabled() ? &words_[stripe & mask_].v : nullptr;
   }
 
   /// Reader-side entry load.
@@ -63,6 +68,7 @@ class ReadSeqTable {
   /// Mutator-side: pin `stripe` odd for the rest of the attempt (released
   /// even by this table's finish hook, after any abort inverses ran). Call
   /// before the first base mutation of the stripe; idempotent per attempt.
+  /// Enabled tables only.
   void writer_pin(stm::Txn& tx, std::size_t stripe) {
     std::atomic<std::uint64_t>* w = &words_[stripe & mask_].v;
     std::vector<stm::TxnArena::SeqHold>& holds = tx.seq_holds();

@@ -28,13 +28,14 @@ class TxnHashMap {
   explicit TxnHashMap(Lap& lap, std::size_t stripes = 64,
                       bool combine_undo = false)
       : lock_(lap, UpdateStrategy::Eager), map_(stripes),
-        seqs_(map_.stripe_count()), combine_undo_(combine_undo) {}
+        seqs_(map_.stripe_count(), lap.stm().options().optimistic_reads),
+        combine_undo_(combine_undo) {}
 
   /// Insert or replace. Returns the previous mapping, as Figure 2a's put.
   std::optional<V> put(stm::Txn& tx, const K& key, const V& value) {
     if (combine_undo_) {
       return lock_.apply(tx, key, /*write=*/true, [&] {
-        seqs_.writer_pin(tx, map_.stripe_index(key));
+        if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
         std::optional<V> ret = map_.put(key, value);
         if (!ret) size_.bump(tx, +1);
         remember_original(tx, key, ret);
@@ -44,7 +45,7 @@ class TxnHashMap {
     return lock_.apply(
         tx, key, /*write=*/true,
         [&] {
-          seqs_.writer_pin(tx, map_.stripe_index(key));
+          if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
           std::optional<V> ret = map_.put(key, value);
           if (!ret) size_.bump(tx, +1);
           return ret;
@@ -94,7 +95,7 @@ class TxnHashMap {
   std::optional<V> remove(stm::Txn& tx, const K& key) {
     if (combine_undo_) {
       return lock_.apply(tx, key, /*write=*/true, [&] {
-        seqs_.writer_pin(tx, map_.stripe_index(key));
+        if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
         std::optional<V> ret = map_.remove(key);
         if (ret) size_.bump(tx, -1);
         remember_original(tx, key, ret);
@@ -104,7 +105,7 @@ class TxnHashMap {
     return lock_.apply(
         tx, key, /*write=*/true,
         [&] {
-          seqs_.writer_pin(tx, map_.stripe_index(key));
+          if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
           std::optional<V> ret = map_.remove(key);
           if (ret) size_.bump(tx, -1);
           return ret;
@@ -162,7 +163,7 @@ class TxnHashMap {
 
   AbstractLock<K, Lap> lock_;
   containers::StripedHashMap<K, V> map_;
-  ReadSeqTable seqs_;  // one word per base shard (fast read path)
+  ReadSeqTable seqs_;  // one word per base shard (fast read path only)
   CommittedSize size_;
   bool combine_undo_ = false;
 };

@@ -43,7 +43,8 @@ class TxnOrderedMap {
   /// interval-CA granularity M. Keys outside the bounds clamp to the edge
   /// stripes (correct, just coarser there).
   TxnOrderedMap(Lap& lap, K key_min, K key_max, std::size_t stripes)
-      : lock_(lap, UpdateStrategy::Eager), seqs_(stripes),
+      : lock_(lap, UpdateStrategy::Eager),
+        seqs_(stripes, lap.stm().options().optimistic_reads),
         key_min_(key_min), key_max_(key_max), stripes_(stripes) {}
 
   std::optional<V> put(stm::Txn& tx, K key, const V& value) {
@@ -51,7 +52,7 @@ class TxnOrderedMap {
     return lock_.apply(
         tx, s, /*write=*/true,
         [&] {
-          seqs_.writer_pin(tx, s);
+          if (seqs_.enabled()) seqs_.writer_pin(tx, s);
           std::optional<V> ret = map_.put(key, value);
           if (!ret) size_.bump(tx, +1);
           return ret;
@@ -96,7 +97,7 @@ class TxnOrderedMap {
     return lock_.apply(
         tx, s, /*write=*/true,
         [&] {
-          seqs_.writer_pin(tx, s);
+          if (seqs_.enabled()) seqs_.writer_pin(tx, s);
           std::optional<V> ret = map_.remove(key);
           if (ret) size_.bump(tx, -1);
           return ret;
@@ -189,7 +190,7 @@ class TxnOrderedMap {
 
   AbstractLock<std::size_t, Lap> lock_;
   containers::ConcurrentSkipList<K, V> map_;
-  ReadSeqTable seqs_;  // one word per interval stripe (fast read path)
+  ReadSeqTable seqs_;  // one word per interval stripe (fast read path only)
   CommittedSize size_;
   K key_min_;
   K key_max_;

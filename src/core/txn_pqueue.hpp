@@ -50,7 +50,8 @@ class TxnPriorityQueue {
 
  public:
   explicit TxnPriorityQueue(Lap& lap)
-      : lock_(lap, UpdateStrategy::Eager), seqs_(1) {}
+      : lock_(lap, UpdateStrategy::Eager),
+        seqs_(1, lap.stm().options().optimistic_reads) {}
 
   void insert(stm::Txn& tx, const T& value) {
     const std::optional<T> cur = min(tx);
@@ -60,7 +61,7 @@ class TxnPriorityQueue {
         {Write(PQueueState::MultiSet),
          lowers_min ? Write(PQueueState::Min) : Read(PQueueState::Min)},
         [&] {
-          seqs_.writer_pin(tx, 0);
+          if (seqs_.enabled()) seqs_.writer_pin(tx, 0);
           CellPtr cell = std::make_shared<Cell>(value);
           pq_.add(cell);
           size_.bump(tx, +1);
@@ -107,7 +108,7 @@ class TxnPriorityQueue {
     return lock_.apply(
         tx, {Write(PQueueState::Min), Write(PQueueState::MultiSet)},
         [&]() -> std::optional<T> {
-          seqs_.writer_pin(tx, 0);
+          if (seqs_.enabled()) seqs_.writer_pin(tx, 0);
           for (;;) {
             std::optional<CellPtr> top = pq_.poll();
             if (!top) return std::nullopt;
@@ -153,7 +154,7 @@ class TxnPriorityQueue {
  private:
   AbstractLock<PQueueState, Lap> lock_;
   containers::BlockingPriorityQueue<CellPtr, CellCompare> pq_;
-  ReadSeqTable seqs_;  // single word: the whole queue (fast read path)
+  ReadSeqTable seqs_;  // single word: the whole queue (fast read path only)
   CommittedSize size_;
 };
 

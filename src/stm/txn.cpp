@@ -667,7 +667,9 @@ void Txn::commit() {
   // Publish the redo records while every write lock (and commit fence) is
   // still held: conflicting commits are serialized across this point, so
   // the epochs the WAL hands out linearize conflicting transactions and
-  // recovery can replay strictly by epoch.
+  // recovery can replay strictly by epoch. The publish writes one shared
+  // word (the epoch claim) and this thread's staging slot; the committer
+  // is kicked after release, at the end of commit.
   if (wal_ != nullptr) [[unlikely]] wal_publish();
   exit_commit_fences();
 
@@ -698,13 +700,16 @@ void Txn::commit() {
   active_ = false;
   stats_.count_commit();
   finish_attempt(Outcome::Committed, /*rethrow=*/true);
-  // Strict durability ack: block on the group committer's fsync *after* the
-  // in-memory commit is fully torn down (locks released, hooks run) — the
-  // wait must never extend any conflict window. On a failed log this throws
-  // WalUnavailable out of an already-committed atomically call: the
+  // Kick the group committer and take the strict durability ack *after* the
+  // in-memory commit is fully torn down (locks released, hooks run) —
+  // neither may extend any conflict window. On a failed log the strict wait
+  // throws WalUnavailable out of an already-committed atomically call: the
   // in-memory effect stands, the durability guarantee does not (DESIGN.md
   // §14 spells out this contract).
-  if (wal_epoch_ != 0) [[unlikely]] wal_wait_strict();
+  if (wal_epoch_ != 0) [[unlikely]] {
+    wal_->kick(wal_epoch_);
+    wal_wait_strict();
+  }
 }
 
 void Txn::enter_commit_fences() noexcept {
@@ -780,8 +785,8 @@ void Txn::wal_publish() {
     }
   }
   if (arena_.wal_buf.empty()) return;
-  wal_epoch_ = wal_->publish(arena_.wal_buf.data(), arena_.wal_buf.size(),
-                             arena_.wal_records);
+  wal_epoch_ = wal_->publish(slot_, arena_.wal_buf.data(),
+                             arena_.wal_buf.size(), arena_.wal_records);
   stats_.count_wal_publish(arena_.wal_records, arena_.wal_buf.size());
 }
 

@@ -290,12 +290,14 @@ class Txn {
   /// read-only durability mode — throws WalUnavailable before any lock is
   /// taken).
   void wal_check_available();
-  /// Serialize registered-Var writes, publish the staged buffer and record
-  /// the assigned epoch. Runs at the commit point: after the commit-locked
-  /// hooks, inside the fence bracket, every write lock held.
+  /// Serialize registered-Var writes, publish the staged buffer into this
+  /// thread's staging slot and record the assigned epoch. Runs at the
+  /// commit point: after the commit-locked hooks, inside the fence bracket,
+  /// every write lock held.
   void wal_publish();
   /// Strict-durability ack: block until this commit's epoch is fsync-
-  /// covered. Runs after the locks are released (end of commit).
+  /// covered. Runs after the locks are released and the committer kicked
+  /// (end of commit).
   void wal_wait_strict();
 
   detail::WriteEntry* find_write(const VarBase* var) noexcept;

@@ -6,14 +6,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <utility>
 
+#include "common/backoff.hpp"
 #include "common/crc32.hpp"
 #include "stm/chaos.hpp"
+#include "stm/thread_registry.hpp"
 #include "stm/var.hpp"
 #include "stm/wal_format.hpp"
 
@@ -40,6 +43,37 @@ bool full_write_raw(int fd, const void* data, std::size_t n) noexcept {
   }
   return true;
 }
+
+/// A backlog that piled up behind a slow fsync is not kept resident once
+/// written: committer buffers that grew past this are released (a batch in
+/// steady state is a few KiB).
+constexpr std::size_t kRetainBytes = std::size_t{64} << 10;
+
+template <class T>
+void clear_and_trim(std::vector<T>& v) {
+  if (v.capacity() * sizeof(T) > kRetainBytes) {
+    std::vector<T>().swap(v);
+  } else {
+    v.clear();
+  }
+}
+
+/// Holds a staging slot's `busy` flag for a scope. Each side holds it only
+/// for an append or a buffer swap, so spinning is enough.
+class BusyGuard {
+ public:
+  explicit BusyGuard(std::atomic<bool>& busy) noexcept : busy_(busy) {
+    while (busy_.exchange(true, std::memory_order_acquire)) {
+      Backoff::cpu_relax();
+    }
+  }
+  ~BusyGuard() { busy_.store(false, std::memory_order_release); }
+  BusyGuard(const BusyGuard&) = delete;
+  BusyGuard& operator=(const BusyGuard&) = delete;
+
+ private:
+  std::atomic<bool>& busy_;
+};
 
 bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
   const common::UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
@@ -154,7 +188,12 @@ Wal::Wal(WalOptions opts) : opts_(std::move(opts)) {
   // per-segment epoch ranges seed the retirement bookkeeping, and the
   // streams seen in history seed the snapshotter-coverage mask.
   const WalRecoveryInfo info = recover(opts_.dir, {});
-  next_epoch_ = info.last_epoch + 1;
+  resume_epoch_ = info.last_epoch;
+  sealed_epoch_ = info.last_epoch;
+  next_epoch_.store(info.last_epoch + 1, std::memory_order_relaxed);
+  kick_at_.store(info.last_epoch + 1, std::memory_order_relaxed);
+  slots_ = std::make_unique<StagingSlot[]>(ThreadRegistry::kMaxSlots);
+  drained_.resize(ThreadRegistry::kMaxSlots);
   stream_mask_.store(info.stream_mask, std::memory_order_relaxed);
   sealed_ = info.segment_details;
 
@@ -175,10 +214,7 @@ Wal::Wal(WalOptions opts) : opts_(std::move(opts)) {
 }
 
 Wal::~Wal() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
+  stop_.store(true, std::memory_order_seq_cst);
   work_ec_.notify_all();
   if (committer_.joinable()) committer_.join();
   if (fd_) {
@@ -223,28 +259,26 @@ void Wal::open_fresh_segment() {
 // ---------------------------------------------------------------------------
 // Publish side
 
-std::uint64_t Wal::publish(const std::uint8_t* staged, std::size_t bytes,
-                           std::uint32_t records) {
-  std::unique_lock<std::mutex> lk(mu_);
-  const std::uint64_t e = next_epoch_++;
-  const bool was_empty = pending_.empty();
-  // Pending unit: epoch + record count + sealed byte length, then the staged
+std::uint64_t Wal::publish(unsigned slot, const std::uint8_t* staged,
+                           std::size_t bytes, std::uint32_t records) {
+  assert(slot < ThreadRegistry::kMaxSlots);
+  StagingSlot& s = slots_[slot];
+  const BusyGuard guard(s.busy);  // contended only by the committer's drain
+  // Staged unit: epoch + record count + sealed byte length, then the staged
   // records verbatim. Expansion to the on-disk format (and all CRC work)
-  // happens on the committer thread, off the commit-fence critical path.
-  put_u64(pending_, e);
-  put_u32(pending_, records);
-  put_u32(pending_, static_cast<std::uint32_t>(bytes));
-  pending_.insert(pending_.end(), staged, staged + bytes);
-  pending_records_ += records;
-  pending_last_epoch_ = e;
-  if (was_empty) {
-    pending_first_epoch_ = e;
-    first_pending_tp_ = std::chrono::steady_clock::now();
+  // happens on the committer thread. Any growth happens before the claim,
+  // so a claimed epoch is always appended (the committer waits for it).
+  const std::size_t need = s.units.size() + 16 + bytes;
+  if (need > s.units.capacity()) {
+    s.units.reserve(std::max(need, 2 * s.units.capacity()));
   }
-  const bool kick = was_empty || pending_records_ >= opts_.fsync_every_n;
-  published_epoch_.store(e, std::memory_order_release);
-  lk.unlock();
-  if (kick) work_ec_.notify_all();
+  const std::uint64_t e = next_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  put_u64(s.units, e);
+  put_u32(s.units, records);
+  put_u32(s.units, static_cast<std::uint32_t>(bytes));
+  s.units.insert(s.units.end(), staged, staged + bytes);
+  s.records.store(s.records.load(std::memory_order_relaxed) + records,
+                  std::memory_order_relaxed);
   return e;
 }
 
@@ -255,17 +289,18 @@ void Wal::wait_durable(std::uint64_t epoch) {
       throw WalUnavailable(
           "wal: log failed before the commit's batch became durable");
     }
-    const std::uint32_t t = durable_ec_.prepare();
-    if (durable_epoch_.load(std::memory_order_acquire) >= epoch) return;
     durable_ec_.wait_until(
-        t, std::chrono::steady_clock::now() + std::chrono::milliseconds(10));
+        [&] {
+          return durable_epoch_.load(std::memory_order_acquire) >= epoch ||
+                 failed();
+        },
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(10));
   }
 }
 
 void Wal::flush() {
-  const std::uint64_t e = published_epoch_.load(std::memory_order_acquire);
+  const std::uint64_t e = published_epoch();
   if (e == 0) return;
-  work_ec_.notify_all();
   wait_durable(e);
 }
 
@@ -279,7 +314,7 @@ WalStats Wal::stats() const noexcept {
   s.errors = n_errors_.load(std::memory_order_relaxed);
   s.retries = n_retries_.load(std::memory_order_relaxed);
   s.segments_retired = n_segments_retired_.load(std::memory_order_relaxed);
-  s.published_epoch = published_epoch_.load(std::memory_order_relaxed);
+  s.published_epoch = published_epoch();
   s.durable_epoch = durable_epoch_.load(std::memory_order_relaxed);
   return s;
 }
@@ -371,51 +406,154 @@ bool Wal::write_all(int fd, const void* data, std::size_t n,
 }
 
 void Wal::committer_main() {
-  for (;;) {
-    Batch b;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Park until there is work (long deadline — publishers notify the
-      // empty->nonempty transition, so an idle log costs ~no wakeups).
-      while (pending_.empty() && !stop_) {
-        const std::uint32_t t = work_ec_.prepare();
-        lk.unlock();
-        work_ec_.wait_until(t, std::chrono::steady_clock::now() +
-                                   std::chrono::milliseconds(50));
-        lk.lock();
-      }
-      if (pending_.empty()) return;  // stopped and fully drained
-      // Batching window: wait for fsync_every_n records or the interval
-      // measured from the oldest pending record, whichever first.
-      while (!stop_ && pending_records_ < opts_.fsync_every_n) {
-        const auto deadline = first_pending_tp_ + opts_.fsync_interval_us;
-        if (std::chrono::steady_clock::now() >= deadline) break;
-        const std::uint32_t t = work_ec_.prepare();
-        lk.unlock();
-        work_ec_.wait_until(t, deadline);
-        lk.lock();
-      }
-      b.units.swap(pending_);
-      b.records = pending_records_;
-      b.first_epoch = pending_first_epoch_;
-      b.last_epoch = pending_last_epoch_;
-      pending_records_ = 0;
-    }
+  while (wait_for_work()) {
+    wait_for_batch();
+    seal_batch();
     // A failed log drops batches on the floor: durable_epoch stops moving,
     // strict waiters throw, and publish-side commits refuse up front.
-    if (!failing_.load(std::memory_order_acquire)) write_batch(b);
+    if (!failing_.load(std::memory_order_acquire)) write_batch(batch_);
+    release_written();
   }
 }
 
-void Wal::write_batch(Batch& b) {
-  // WalSeal gate: crash after draining, before anything reaches the file —
+bool Wal::wait_for_work() {
+  // kick_at_ was armed at sealed_epoch_ + 1 by the last seal (or the ctor),
+  // so the first publish past the sealed prefix wakes us (long deadline —
+  // an idle log costs ~no wakeups).
+  while (claimed_epoch() == sealed_epoch_) {
+    if (stop_.load(std::memory_order_seq_cst)) return false;
+    work_ec_.wait_until(
+        [&] {
+          return claimed_epoch() != sealed_epoch_ ||
+                 stop_.load(std::memory_order_seq_cst);
+        },
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(50));
+  }
+  return true;
+}
+
+void Wal::wait_for_batch() {
+  using clock = std::chrono::steady_clock;
+  // The window opens at the publish that kicked us for this batch (its
+  // publisher stamped the clock), or now if that kick has not landed yet.
+  const clock::rep k = kick_ns_.load(std::memory_order_relaxed);
+  const clock::time_point deadline =
+      (k != 0 ? clock::time_point(clock::duration(k)) : clock::now()) +
+      opts_.fsync_interval_us;
+  for (;;) {
+    drain_slots();
+    if (stop_.load(std::memory_order_seq_cst) ||
+        drained_records_ >= opts_.fsync_every_n || clock::now() >= deadline) {
+      return;
+    }
+    // Ask to be kicked by the publish that should bring the pending count
+    // to fsync_every_n, judging units by the last batch's records per unit.
+    const std::uint64_t missing = opts_.fsync_every_n - drained_records_;
+    const std::uint64_t at =
+        claimed_epoch() + (missing + records_per_unit_ - 1) / records_per_unit_;
+    kick_at_.store(at, std::memory_order_seq_cst);
+    work_ec_.wait_until(
+        [&] {
+          return claimed_epoch() >= at ||
+                 stop_.load(std::memory_order_seq_cst);
+        },
+        deadline);
+  }
+}
+
+void Wal::drain_slots() {
+  const unsigned n = ThreadRegistry::high_water();
+  for (unsigned i = 0; i < n; ++i) {
+    StagingSlot& s = slots_[i];
+    if (s.records.load(std::memory_order_relaxed) == 0) continue;
+    Drained& d = drained_[i];
+    const BusyGuard guard(s.busy);
+    // Swap when nothing is left over, so the publisher keeps appending into
+    // a buffer that has capacity.
+    if (d.units.empty()) {
+      d.units.swap(s.units);
+    } else {
+      d.units.insert(d.units.end(), s.units.begin(), s.units.end());
+      s.units.clear();
+    }
+    drained_records_ += s.records.load(std::memory_order_relaxed);
+    s.records.store(0, std::memory_order_relaxed);
+  }
+}
+
+bool Wal::seal_unit(std::uint64_t epoch) {
+  const unsigned n = ThreadRegistry::high_water();
+  for (unsigned i = 0; i < n; ++i) {
+    Drained& d = drained_[i];
+    if (d.pos == d.units.size() || get_u64(d.units.data() + d.pos) != epoch) {
+      continue;
+    }
+    const std::uint32_t records = get_u32(d.units.data() + d.pos + 8);
+    batch_.units.push_back(UnitRef{i, d.pos});
+    batch_.records += records;
+    drained_records_ -= records;
+    d.pos += 16 + get_u32(d.units.data() + d.pos + 12);
+    return true;
+  }
+  return false;
+}
+
+void Wal::release_written() {
+  const unsigned n = ThreadRegistry::high_water();
+  for (unsigned i = 0; i < n; ++i) {
+    Drained& d = drained_[i];
+    if (d.pos == d.units.size()) {
+      // The next drain swaps this buffer into the slot, so trimming here
+      // also bounds what the publisher keeps.
+      clear_and_trim(d.units);
+    } else {
+      d.units.erase(d.units.begin(),
+                    d.units.begin() + static_cast<std::ptrdiff_t>(d.pos));
+    }
+    d.pos = 0;
+  }
+  clear_and_trim(batch_.units);
+  clear_and_trim(payload_);
+}
+
+void Wal::seal_batch() {
+  // Everything claimed so far goes in. Each slot's units are in epoch order,
+  // so the next epoch is always at the head of some slot — unless its
+  // publisher has claimed it and not appended yet (a hole, a few
+  // instructions wide unless that thread was preempted): re-drain and wait.
+  const std::uint64_t target = claimed_epoch();
+  batch_.units.clear();
+  batch_.records = 0;
+  batch_.first_epoch = sealed_epoch_ + 1;
+  Backoff backoff;
+  while (sealed_epoch_ < target) {
+    if (!seal_unit(sealed_epoch_ + 1)) {
+      drain_slots();
+      if (!seal_unit(sealed_epoch_ + 1)) {
+        backoff.pause();
+        continue;
+      }
+    }
+    ++sealed_epoch_;
+  }
+  batch_.last_epoch = target;
+  const std::uint64_t units = target - batch_.first_epoch + 1;
+  records_per_unit_ = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, batch_.records / units));
+  // Arm the next batch's first-publish kick.
+  kick_ns_.store(0, std::memory_order_relaxed);
+  kick_at_.store(sealed_epoch_ + 1, std::memory_order_seq_cst);
+}
+
+void Wal::write_batch(const Batch& b) {
+  // WalSeal gate: crash after sealing, before anything reaches the file —
   // the whole batch (published, possibly relaxed-acked) is lost.
   if (chaos_crash(ChaosPoint::WalSeal)) ::_exit(kWalCrashExitCode);
 
-  // The drain is split into frames: each frame becomes one on-disk batch,
+  // The batch is split into frames: each frame becomes one on-disk batch,
   // capped so header+payload fits a segment's data budget (a single
   // oversized transaction still gets a frame of its own). Rotation thereby
-  // interleaves with a large drain instead of waiting for the next one.
+  // interleaves with a large batch instead of waiting for the next one.
   // The single fsync at the end covers every frame — rotate_segment fsyncs
   // the outgoing segment before switching, so no frame is left uncovered.
   const std::size_t seg_budget =
@@ -423,8 +561,9 @@ void Wal::write_batch(Batch& b) {
           ? opts_.segment_bytes - kSegHeaderSize - kBatchHeaderSize
           : 0;
 
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> header;
+  std::vector<std::uint8_t>& payload = payload_;
+  std::vector<std::uint8_t>& header = header_;
+  payload.clear();
   std::uint64_t frame_first = 0;
   std::uint64_t frame_last = 0;
   std::uint32_t frame_records = 0;
@@ -474,12 +613,12 @@ void Wal::write_batch(Batch& b) {
     return true;
   };
 
-  std::size_t pos = 0;
-  while (pos < b.units.size()) {
-    const std::uint64_t epoch = get_u64(b.units.data() + pos);
-    const std::uint32_t records = get_u32(b.units.data() + pos + 8);
-    const std::uint32_t nbytes = get_u32(b.units.data() + pos + 12);
-    pos += 16;
+  for (const UnitRef& u : b.units) {
+    const std::uint8_t* p = drained_[u.slot].units.data() + u.offset;
+    const std::uint64_t epoch = get_u64(p);
+    const std::uint32_t records = get_u32(p + 8);
+    const std::uint32_t nbytes = get_u32(p + 12);
+    p += 16;
     // Units (transactions) never split across frames, so the sealed
     // first/last epochs of consecutive frames stay dense.
     const std::size_t expanded = nbytes + std::size_t{records} * 12;
@@ -490,19 +629,18 @@ void Wal::write_batch(Batch& b) {
     if (frame_records == 0) frame_first = epoch;
     frame_last = epoch;
     frame_records += records;
-    const std::size_t unit_end = pos + nbytes;
-    while (pos < unit_end) {
-      const std::uint32_t stream = get_u32(b.units.data() + pos);
-      const std::uint32_t len = get_u32(b.units.data() + pos + 4);
-      pos += 8;
+    const std::uint8_t* const unit_end = p + nbytes;
+    while (p < unit_end) {
+      const std::uint32_t stream = get_u32(p);
+      const std::uint32_t len = get_u32(p + 4);
+      p += 8;
       if (stream != kVarStream) seen_streams |= stream_bit(stream);
       put_u64(payload, epoch);
       put_u32(payload, stream);
       put_u32(payload, len);
-      put_u32(payload, crc32(b.units.data() + pos, len));
-      payload.insert(payload.end(), b.units.data() + pos,
-                     b.units.data() + pos + len);
-      pos += len;
+      put_u32(payload, crc32(p, len));
+      payload.insert(payload.end(), p, p + len);
+      p += len;
     }
   }
   if (seen_streams != 0) {

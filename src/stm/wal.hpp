@@ -12,18 +12,25 @@
 // write set at commit. Staged bytes live in the per-thread TxnArena and die
 // with an aborted attempt, so nothing an abort produced can ever reach the
 // log. At the commit point — inside the commit-fence bracket, while every
-// write lock is still held — the transaction publishes its staged buffer
-// and is assigned a monotone *epoch*; conflicting transactions hold
-// conflicting locks across publish, so epoch order refines conflict order
-// and replaying epochs in order reproduces the committed history.
+// write lock is still held — the transaction claims a dense *epoch* (one
+// fetch_add on the shared counter) and appends its unit to the staging
+// buffer of its own ThreadRegistry slot; conflicting transactions hold
+// conflicting locks across the claim, so epoch order refines conflict
+// order and replaying epochs in order reproduces the committed history.
+// Nothing else shared is written inside the lock window: the committer is
+// kicked, if it is parked waiting for this epoch, only after the commit has
+// released its locks.
 //
-// A background group committer drains published units, seals them into
-// checksummed batches (CRC32 per record payload, sealed-length + CRC32
-// header per batch), appends them to segment files and fsyncs once per
-// batch; `fsync_every_n` / `fsync_interval_us` bound how many records and
-// how much time one fsync may cover. `WalDurability::Relaxed` acks at
-// publish ("ack on append"); `Strict` blocks the committing thread on the
-// durable epoch ("ack on fsync") via a futex eventcount.
+// A background group committer drains every slot, merges the units by
+// epoch and seals the contiguous epoch prefix into checksummed batches
+// (CRC32 per record payload, sealed-length + CRC32 header per batch),
+// appends them to segment files and fsyncs once per batch. An epoch that is
+// claimed but not yet appended is a hole; the committer waits for it, so a
+// batch never skips an epoch. `fsync_every_n` / `fsync_interval_us` bound
+// how many records and how much time one fsync may cover.
+// `WalDurability::Relaxed` acks at publish ("ack on append"); `Strict`
+// blocks the committing thread on the durable epoch ("ack on fsync") via a
+// futex eventcount.
 //
 // Failure handling. Every storage syscall on the write path goes through an
 // injectable `common::Fs` (so the fault suites can feed it EIO, ENOSPC and
@@ -63,6 +70,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -244,12 +252,31 @@ class Wal {
                                 std::uint32_t& size) noexcept;
 
   /// Publish one committed transaction's staged records (the arena buffer
-  /// built by stage_record) and assign its epoch. Called by Txn at the
-  /// commit point with every write lock held — that lock order is what
-  /// makes epoch order a linearization of conflicting commits. Never
-  /// blocks on I/O.
-  std::uint64_t publish(const std::uint8_t* staged, std::size_t bytes,
-                        std::uint32_t records);
+  /// built by stage_record): claim its epoch and append the unit to the
+  /// staging buffer of registry slot `slot` (the calling thread's). Called
+  /// by Txn at the commit point with every write lock held — that lock
+  /// order is what makes epoch order a linearization of conflicting
+  /// commits. Never blocks on I/O and wakes nobody: call kick() once the
+  /// locks are released.
+  std::uint64_t publish(unsigned slot, const std::uint8_t* staged,
+                        std::size_t bytes, std::uint32_t records);
+
+  /// Wake the group committer if it is parked waiting for `epoch` (the one
+  /// publish returned). Txn::commit calls this after releasing its locks;
+  /// every other publisher pays one load.
+  void kick(std::uint64_t epoch) noexcept {
+    std::uint64_t at = kick_at_.load(std::memory_order_seq_cst);
+    while (epoch >= at) {
+      if (kick_at_.compare_exchange_weak(at, kNoKick,
+                                         std::memory_order_seq_cst)) {
+        kick_ns_.store(
+            std::chrono::steady_clock::now().time_since_epoch().count(),
+            std::memory_order_relaxed);
+        work_ec_.notify_all();
+        return;
+      }
+    }
+  }
 
   /// Block until `epoch` is fsync-covered (strict durability ack). Throws
   /// WalUnavailable if the log failed before covering it.
@@ -265,8 +292,11 @@ class Wal {
   std::uint64_t durable_epoch() const noexcept {
     return durable_epoch_.load(std::memory_order_acquire);
   }
+  /// Newest epoch handed out by this instance; 0 until its first publish
+  /// (epochs recovered from an earlier instance's history do not count).
   std::uint64_t published_epoch() const noexcept {
-    return published_epoch_.load(std::memory_order_acquire);
+    const std::uint64_t e = next_epoch_.load(std::memory_order_acquire) - 1;
+    return e > resume_epoch_ ? e : 0;
   }
 
   WalStats stats() const noexcept;
@@ -331,15 +361,53 @@ class Wal {
       const std::function<void(const WalRecordView&)>& handler = {});
 
  private:
+  /// A sealed unit, read in place from the committer's drained buffers.
+  struct UnitRef {
+    std::uint32_t slot;
+    std::size_t offset;
+  };
   struct Batch {
-    std::vector<std::uint8_t> units;  // staged units drained from pending_
+    std::vector<UnitRef> units;  // epoch order
     std::uint32_t records = 0;
     std::uint64_t first_epoch = 0;
     std::uint64_t last_epoch = 0;
   };
+  /// One registry slot's staging buffer. Its thread appends whole units in
+  /// epoch order while holding `busy`; the committer takes `busy` only to
+  /// swap the buffer out, so the line stays with its thread between drains.
+  struct alignas(kCacheLine) StagingSlot {
+    std::atomic<bool> busy{false};
+    std::atomic<std::uint32_t> records{0};  // staged since the last drain
+    std::vector<std::uint8_t> units;
+  };
+  /// Committer-side units drained from one slot; `pos` is the first unit
+  /// not yet sealed into a batch (units claimed after a seal's cut wait
+  /// here for the next batch). Drains only append, so a sealed unit stays
+  /// put until its batch is written.
+  struct Drained {
+    std::vector<std::uint8_t> units;
+    std::size_t pos = 0;
+  };
+  static constexpr std::uint64_t kNoKick = ~std::uint64_t{0};
 
+  std::uint64_t claimed_epoch() const noexcept {
+    return next_epoch_.load(std::memory_order_seq_cst) - 1;
+  }
   void committer_main();
-  void write_batch(Batch& b);
+  /// Park until the committer has something to seal; false once stopped
+  /// with every claimed epoch sealed.
+  bool wait_for_work();
+  /// Batching window: drain until `fsync_every_n` records are pending or
+  /// the interval since the batch's first publish has passed.
+  void wait_for_batch();
+  void drain_slots();
+  /// Merge every claimed epoch past the sealed prefix into batch_, waiting
+  /// out holes, then re-arm the first-publish kick for the next batch.
+  void seal_batch();
+  bool seal_unit(std::uint64_t epoch);
+  void write_batch(const Batch& b);
+  /// Drop the written units from the drained buffers.
+  void release_written();
   void open_fresh_segment();           // ctor path (no chaos, throws)
   bool rotate_segment();               // committer path (fail-stop on error)
   void fail(const char* op, int err, const std::string& path);
@@ -370,17 +438,28 @@ class Wal {
   std::uint64_t seg_first_epoch_ = 0;
   std::uint64_t seg_last_epoch_ = 0;
 
-  std::mutex mu_;  // guards pending_* and epoch handout
-  std::vector<std::uint8_t> pending_;
-  std::uint32_t pending_records_ = 0;
-  std::uint64_t pending_first_epoch_ = 0;
-  std::uint64_t pending_last_epoch_ = 0;
-  std::chrono::steady_clock::time_point first_pending_tp_{};
-  std::uint64_t next_epoch_ = 1;
-  bool stop_ = false;
+  // Publisher side. next_epoch_ takes the one shared RMW of a logging
+  // commit and sits alone on its line. The next line is read by every
+  // logging commit and written about twice per batch (the committer arms a
+  // kick, one publisher claims it).
+  alignas(kCacheLine) std::atomic<std::uint64_t> next_epoch_{1};
+  alignas(kCacheLine) std::atomic<std::uint64_t> kick_at_{kNoKick};
+  std::atomic<std::chrono::steady_clock::rep> kick_ns_{0};  // kicker's clock
+  std::unique_ptr<StagingSlot[]> slots_;
+  std::uint64_t resume_epoch_ = 0;  // newest epoch of the recovered history
+  std::atomic<bool> stop_{false};
 
-  std::atomic<std::uint64_t> published_epoch_{0};
-  std::atomic<std::uint64_t> durable_epoch_{0};
+  // Committer thread only (buffers keep their capacity across batches, up
+  // to a bound; see release_written).
+  alignas(kCacheLine) std::uint64_t sealed_epoch_ = 0;  // newest sealed epoch
+  std::uint64_t drained_records_ = 0;  // drained, not yet sealed
+  std::uint32_t records_per_unit_ = 1;  // last batch's average, for kick_at_
+  std::vector<Drained> drained_;
+  Batch batch_;
+  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> header_;
+
+  alignas(kCacheLine) std::atomic<std::uint64_t> durable_epoch_{0};
   // `failing_` is claimed by the first fatal error and stops the committer
   // writing; `failed_` (what failed() reports) is set only after on_error
   // has returned, so no WalUnavailable can overtake the error report.

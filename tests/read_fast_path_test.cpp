@@ -6,7 +6,8 @@
 // reads a pair of keys the writers only ever update *together* must see
 // equal values — a torn fast-path read is exactly what would break it.
 // The ReadSeqTable cases at the end pin the sequence words' pin/release
-// contract that the races rely on.
+// contract that the races rely on, and that wrappers pin (and build their
+// tables) only when their Stm has the fast path on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 
 #include "core/lap.hpp"
 #include "core/read_seq.hpp"
+#include "core/txn_hash_map.hpp"
 #include "core/txn_ordered_map.hpp"
 #include "core/txn_pqueue.hpp"
 #include "map_configs.hpp"
@@ -317,4 +319,45 @@ TEST(ReadSeqTable, ConflictRetryReleasesBeforeRepinning) {
   });
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
   EXPECT_EQ(table.load(1), 4u);
+}
+
+TEST(ReadSeqTable, WrappersPinOnlyWithOptimisticReads) {
+  // Nothing reads the sequence words unless the wrapper's Stm has the fast
+  // path on, so by default a mutation pins nothing and the tables are
+  // never built; with the option on, every eager wrapper pins as before.
+  using MapLap = core::OptimisticLap<long>;
+  using StripeLap = core::OptimisticLap<std::size_t, core::StripeHasher>;
+  using PqLap = core::PessimisticLap<core::PQueueState>;
+  for (const bool optimistic : {false, true}) {
+    SCOPED_TRACE(optimistic ? "optimistic_reads" : "defaults");
+    stm::StmOptions opts;
+    opts.optimistic_reads = optimistic;
+    stm::Stm stm(stm::Mode::EagerAll, opts);
+    MapLap map_lap(stm, 64);
+    StripeLap stripe_lap(stm, 64);
+    PqLap pq_lap(stm, 8);
+    core::TxnHashMap<long, long, MapLap> map(map_lap, 16);
+    core::TxnOrderedMap<long, StripeLap> ordered(stripe_lap, 0, 1023, 16);
+    core::TxnPriorityQueue<long, PqLap> pq(pq_lap);
+    std::vector<std::size_t> holds;  // seq_holds() after each mutation
+    stm.atomically([&](stm::Txn& tx) {
+      holds.clear();
+      map.put(tx, 1, 10);
+      holds.push_back(tx.seq_holds().size());
+      (void)map.remove(tx, 1);
+      holds.push_back(tx.seq_holds().size());
+      ordered.put(tx, 5, 50);
+      holds.push_back(tx.seq_holds().size());
+      (void)ordered.remove(tx, 5);
+      holds.push_back(tx.seq_holds().size());
+      pq.insert(tx, 7);
+      holds.push_back(tx.seq_holds().size());
+      (void)pq.remove_min(tx);
+      holds.push_back(tx.seq_holds().size());
+    });
+    const std::vector<std::size_t> expected =
+        optimistic ? std::vector<std::size_t>{1, 1, 2, 2, 3, 3}
+                   : std::vector<std::size_t>(6, 0);
+    EXPECT_EQ(holds, expected);
+  }
 }

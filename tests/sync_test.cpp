@@ -2,6 +2,7 @@
 // group discipline used by PQueueMultiSet. Owners carry their own membership
 // counters (ReentrantRwLock::Hold) — the lock itself keeps no per-owner
 // state — so each logical owner here is simply a distinct Hold record.
+// Also the futex eventcount the WAL committer and strict waiters park on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "sync/eventcount.hpp"
 #include "sync/reentrant_rw_lock.hpp"
 
 using namespace proust::sync;
@@ -252,4 +254,45 @@ TEST(ReentrantRwLock, UpgradeSucceedsOrTimesOutCleanly) {
   Hold w;
   EXPECT_TRUE(l.try_acquire(w, true, kShort));
   l.release_all(w);
+}
+
+TEST(EventCount, PingPongLosesNoWakeup) {
+  // Two threads hand a turn back and forth, each parking with a 10 s
+  // deadline while it waits: a single lost wake-up costs a full deadline.
+  constexpr int kRounds = 20000;
+  EventCount ec;
+  std::atomic<int> turn{0};
+  const auto await = [&](int want) {
+    const auto ready = [&] {
+      return turn.load(std::memory_order_acquire) == want;
+    };
+    while (!ready()) {
+      ec.wait_until(ready, std::chrono::steady_clock::now() + 10s);
+    }
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread consumer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      await(2 * r + 1);
+      turn.store(2 * r + 2, std::memory_order_release);
+      ec.notify_all();
+    }
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    turn.store(2 * r + 1, std::memory_order_release);
+    ec.notify_all();
+    await(2 * r + 2);
+  }
+  consumer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+}
+
+TEST(EventCount, NotifyWithNobodyParkedReturnsAtOnce) {
+  EventCount ec;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 1000; ++i) ec.notify_all();
+  // A waiter whose predicate already holds withdraws without parking.
+  ec.wait_until([] { return true; }, t0 + 10s);
+  ec.notify_all();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kLong);
 }

@@ -1,8 +1,9 @@
 // Unit tests for the durability subsystem (stm/wal.hpp, ctest label
 // "durability"): record staging and recovery roundtrips, epoch density,
-// abort discard, strict/relaxed acknowledgement, segment rotation,
-// torn-tail truncation, half-rotated .tmp discard, and fail-stop behavior
-// on injected I/O errors. The crash-point matrix lives in
+// abort discard, strict/relaxed acknowledgement, concurrent publishers
+// (dense epochs and per-thread order across staging slots), segment
+// rotation, torn-tail truncation, half-rotated .tmp discard, and fail-stop
+// behavior on injected I/O errors. The crash-point matrix lives in
 // tests/wal_crash_test.cpp; this file only exercises the live-process
 // paths.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,6 +236,122 @@ TEST(WalTest, RelaxedFlushCoversEverythingPublished) {
   wal.flush();
   EXPECT_EQ(wal.durable_epoch(), 10u);
   EXPECT_GE(wal.stats().fsyncs, 1u);
+}
+
+TEST(WalTest, ConcurrentPublishersKeepEpochsDenseAndInCommitOrder) {
+  // Four threads publish from their own staging slots at once, on vars
+  // they share, so commits conflict and the committer merges four streams.
+  constexpr int kThreads = 4;
+  constexpr std::uint32_t kCommits = 5000;
+  constexpr std::size_t kVars = 6;
+  TempDir dir("concurrent");
+  std::vector<std::unique_ptr<stm::Var<long>>> vars;
+  for (std::size_t i = 0; i < kVars; ++i) {
+    vars.push_back(std::make_unique<stm::Var<long>>(0));
+  }
+  std::vector<long> final_values(kVars);
+  {
+    stm::WalOptions wopts;
+    wopts.dir = dir.path;
+    stm::Wal wal(wopts);
+    for (std::size_t i = 0; i < kVars; ++i) wal.register_var(i, *vars[i]);
+    stm::StmOptions opts;
+    opts.durability = &wal;
+    stm::Stm s(stm::Mode::Lazy, opts);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::uint32_t i = 0; i < kCommits; ++i) {
+          const std::uint32_t tag[2] = {static_cast<std::uint32_t>(t), i};
+          const long value = t * 1000000L + i;
+          s.atomically([&](stm::Txn& tx) {
+            stm::Var<long>& a = *vars[(i + t) % kVars];
+            stm::Var<long>& b = *vars[(i * 7 + 3 * t) % kVars];
+            a.write(tx, value);
+            b.write(tx, b.read(tx) + 1);
+            tx.wal_log(1, tag, sizeof tag);
+          });
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (std::size_t i = 0; i < kVars; ++i) {
+      final_values[i] = vars[i]->unsafe_ref();
+    }
+  }
+
+  std::uint64_t last_epoch = 0;
+  std::uint64_t units = 0;
+  std::vector<std::int64_t> next_commit(kThreads, 0);
+  std::vector<long> replayed(kVars, 0);
+  bool dense = true;
+  bool ordered = true;
+  stm::Wal::recover(dir.path, [&](const stm::WalRecordView& r) {
+    if (r.epoch != last_epoch) {
+      dense = dense && r.epoch == last_epoch + 1;
+      last_epoch = r.epoch;
+      ++units;
+    }
+    std::uint64_t id;
+    const std::uint8_t* value;
+    std::uint32_t size;
+    if (stm::Wal::decode_var_record(r, id, value, size)) {
+      ASSERT_LT(id, kVars);
+      ASSERT_EQ(size, sizeof(long));
+      std::memcpy(&replayed[id], value, sizeof(long));
+      return;
+    }
+    ASSERT_EQ(r.stream, 1u);
+    std::uint32_t tag[2];
+    ASSERT_EQ(r.size, sizeof tag);
+    std::memcpy(tag, r.data, sizeof tag);
+    ASSERT_LT(tag[0], static_cast<std::uint32_t>(kThreads));
+    ordered = ordered && tag[1] == next_commit[tag[0]];
+    next_commit[tag[0]] = tag[1] + 1;
+  });
+  EXPECT_TRUE(dense) << "a gap in the recovered epochs";
+  EXPECT_EQ(last_epoch, kThreads * kCommits);
+  EXPECT_EQ(units, kThreads * kCommits);
+  EXPECT_TRUE(ordered) << "a thread's records out of its commit order";
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(next_commit[t], kCommits);
+  EXPECT_EQ(replayed, final_values)
+      << "var records replayed in epoch order must give the final values";
+}
+
+TEST(WalTest, ConcurrentStrictAcksAreDurable) {
+  constexpr int kThreads = 4;
+  constexpr int kCommits = 200;
+  TempDir dir("concurrent-strict");
+  stm::WalOptions wopts;
+  wopts.dir = dir.path;
+  wopts.durability = stm::WalDurability::Strict;
+  wopts.fsync_every_n = 3;
+  stm::Wal wal(wopts);
+  stm::StmOptions opts;
+  opts.durability = &wal;
+  stm::Stm s(stm::Mode::Lazy, opts);
+  std::atomic<int> early_acks{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCommits; ++i) {
+        std::uint64_t epoch = 0;
+        s.atomically([&](stm::Txn& tx) {
+          tx.wal_log(1, &t, sizeof t);
+          // Commit hooks run after the publish assigned the epoch and
+          // before the strict wait.
+          tx.on_commit([&] { epoch = tx.wal_epoch(); });
+        });
+        if (epoch == 0 || wal.durable_epoch() < epoch) early_acks.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(early_acks.load(), 0)
+      << "a strict ack came before its epoch was durable";
+  EXPECT_EQ(wal.durable_epoch(), std::uint64_t{kThreads} * kCommits);
+  EXPECT_EQ(s.stats().snapshot().wal_strict_waits,
+            std::uint64_t{kThreads} * kCommits);
 }
 
 TEST(WalTest, SegmentsRotateAndRecoverAcrossFiles) {
