@@ -182,8 +182,8 @@ void with_map(const std::string& impl, Mode mode, std::size_t ca,
   } else if (impl == "predication") {
     PredicationAdapter a(mode, opts);
     fn(a);
-  } else if (impl.rfind("proust-eager", 0) == 0) {
-    EagerOptAdapter a(mode, ca, combine, opts);
+  } else if (impl == "proust-eager") {
+    EagerOptAdapter a(mode, ca, opts);
     fn(a);
   } else if (impl == "proust-pess") {
     PessimisticAdapter a(mode, ca, opts);
@@ -902,8 +902,7 @@ void preset_fig4_bottom(Ctx& c) {
 }
 
 /// The log-combining family: §7's memoized-replay combining plus §9's
-/// snapshot-replay and undo-log extensions. The undo rows run on EagerAll,
-/// where eager/optimistic is opaque.
+/// snapshot-replay extension.
 void preset_combining(Ctx& c) {
   MapGrid g = map_grid(c, 30000, 1, 2);
   g.us = c.doubles("u", {1});
@@ -912,9 +911,6 @@ void preset_combining(Ctx& c) {
   g.key_ranges = c.longs("key-range", {32, 1024});
   g.impls = {"proust-lazy-memo", "proust-lazy-memo+c", "proust-lazy-snap",
              "proust-lazy-snap+c"};
-  run_map_grid(c, g);
-  g.modes = c.modes({Mode::EagerAll});
-  g.impls = {"proust-eager", "proust-eager+c"};
   run_map_grid(c, g);
 }
 

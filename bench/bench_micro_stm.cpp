@@ -272,83 +272,6 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
   return rec;
 }
 
-// --- Read-mostly sweep (MVCC snapshot reads vs. base) -----------------------
-
-/// One (config, update-ratio, threads) cell of the read-mostly sweep. Each
-/// transaction touches 8 of 64 shared vars; an `update_pct`% fraction are
-/// read-modify-write transactions, the rest are pure reads. Under mvcc the
-/// readers go through atomically_ro (snapshot reads: no read set, no
-/// validation, no aborts); the base config runs the same workload through
-/// plain TL2 reads. Stats are always attached so the abort-reason breakdown
-/// (and the mvcc ro_commits/pushed/reclaimed counters) land in the JSON.
-bench::JsonRecord run_ro_cell(const char* cfg_name, bool mvcc,
-                              stm::ClockScheme scheme, int update_pct,
-                              int threads, long total_txns,
-                              stm::ChaosPolicy* chaos) {
-  stm::StmOptions opts;
-  opts.clock_scheme = scheme;
-  opts.chaos = chaos;
-  opts.mvcc = mvcc;
-  stm::Stm stm(stm::Mode::Lazy, opts);
-
-  constexpr int kVars = 64;
-  constexpr int kTouched = 8;
-  std::vector<stm::Var<long>> vars(kVars);
-  std::vector<Xoshiro256> rngs;
-  rngs.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    rngs.emplace_back(0x9E3779B9 + static_cast<std::uint64_t>(t) * 1771875 +
-                      static_cast<std::uint64_t>(update_pct));
-  }
-  std::vector<long> sinks(static_cast<std::size_t>(threads), 0);
-
-  auto body = [&](int t, long) {
-    auto& rng = rngs[static_cast<std::size_t>(t)];
-    if (static_cast<int>(rng.below(100)) < update_pct) {
-      stm.atomically([&](stm::Txn& tx) {
-        for (int j = 0; j < kTouched; ++j) {
-          auto& v = vars[rng.below(kVars)];
-          tx.write(v, tx.read(v) + 1);
-        }
-      });
-      return;
-    }
-    auto reader = [&](stm::Txn& tx) {
-      long s = 0;
-      for (int j = 0; j < kTouched; ++j) s += tx.read(vars[rng.below(kVars)]);
-      return s;
-    };
-    sinks[static_cast<std::size_t>(t)] +=
-        mvcc ? stm.atomically_ro(reader) : stm.atomically(reader);
-  };
-
-  const long warmup = total_txns / 10 + 1;
-  timed_mt(threads, warmup, [&](int t, long n) {
-    for (long i = 0; i < n; ++i) body(t, i);
-  });
-  stm.stats().reset();
-  const double sec = timed_mt(threads, total_txns, [&](int t, long n) {
-    for (long i = 0; i < n; ++i) body(t, i);
-  });
-  if (sinks[0] == 0x5EED) std::printf("#");  // defeat dead-code elimination
-  const stm::StatsSnapshot s = stm.stats().snapshot();
-
-  bench::JsonRecord rec{std::string("micro_stm_ro"),
-                        std::string("mt_read_mostly_") + cfg_name,
-                        stm::to_string(stm::Mode::Lazy),
-                        threads,
-                        kTouched,
-                        static_cast<double>(update_pct) / 100.0,
-                        sec <= 0 ? 0.0
-                                 : static_cast<double>(total_txns) * kTouched /
-                                       sec,
-                        s.abort_ratio()};
-  rec.scheme = stm::to_string(scheme);
-  rec.extra = update_pct;
-  rec.with_stats(s);
-  return rec;
-}
-
 int run_trajectory(const bench::Cli& cli) {
   const std::string path = cli.get("json", "BENCH_STM.json");
   const std::string label = cli.get("label", "current");
@@ -422,37 +345,6 @@ int run_trajectory(const bench::Cli& cli) {
         std::printf("%-20s %-12s %-12s %8d %8.2f %8.4f\n",
                     rec.workload.c_str(), rec.mode.c_str(), rec.scheme.c_str(),
                     rec.threads, rec.ops_per_sec / 1e6, rec.abort_ratio);
-        json.add(std::move(rec));
-      }
-    }
-  }
-
-  // Read-mostly sweep: update ratio x threads x {base TL2, mvcc snapshot
-  // reads (IncOnCommit and LazyBump)}. This is the headline MVCC cell: at low
-  // update ratios the snapshot configs should show a near-zero abort ratio
-  // with writers still running.
-  struct RoCfg {
-    const char* name;
-    bool mvcc;
-    stm::ClockScheme scheme;
-  };
-  const RoCfg ro_cfgs[] = {
-      {"base", false, stm::ClockScheme::IncOnCommit},
-      {"mvcc", true, stm::ClockScheme::IncOnCommit},
-      {"mvcc_lazybump", true, stm::ClockScheme::LazyBump},
-  };
-  const int update_pcts[] = {0, 2, 10, 50};
-  std::printf("\n%-14s %8s %8s %8s %8s %12s\n", "config", "update%",
-              "threads", "Mops/s", "abort", "ro_commits");
-  for (const RoCfg& cfg : ro_cfgs) {
-    for (int u : update_pcts) {
-      for (long t : mt_threads) {
-        bench::JsonRecord rec =
-            run_ro_cell(cfg.name, cfg.mvcc, cfg.scheme, u,
-                        static_cast<int>(t), 120000 * scale, chaos.get());
-        std::printf("%-14s %8d %8ld %8.2f %8.4f %12llu\n", cfg.name, u, t,
-                    rec.ops_per_sec / 1e6, rec.abort_ratio,
-                    static_cast<unsigned long long>(rec.stats.ro_commits));
         json.add(std::move(rec));
       }
     }

@@ -32,10 +32,9 @@ echo "== cm: contention-management suites =="
 # contract).
 ctest --test-dir build --output-on-failure -L cm
 
-echo "== mvcc: snapshot reads + epoch reclamation =="
-# MVCC snapshot semantics (never-abort readers, truncation horizons,
-# auto-detection) and the EBR grace-period protocol + skip-list churn.
-ctest --test-dir build --output-on-failure -L mvcc
+echo "== ebr: epoch reclamation =="
+# The EBR grace-period protocol + skip-list churn and reclamation.
+ctest --test-dir build --output-on-failure -L ebr
 
 echo "== fastpath: lock-free optimistic read fast path =="
 # Differential races of sequence-validated unlocked readers against mutators
@@ -92,7 +91,7 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target stm_concurrent_test core_map_concurrent_test \
   sync_test core_lock_test sync_stress_test chaos_test \
-  cm_test cm_chaos_test mvcc_test ebr_test read_fast_path_test \
+  cm_test cm_chaos_test ebr_test read_fast_path_test \
   wal_test chaos_fs_test checkpoint_test
 
 echo "== tsan: run =="
@@ -114,10 +113,10 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/chaos_test \
 # handoff and the watchdog's stats snapshots race running transactions; the
 # cm label runs the whole surface (unit + chaos matrix).
 TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L cm
-# MVCC + EBR under TSan: snapshot readers traverse version chains that
-# writers concurrently push and truncate, and the EBR epoch protocol's
-# release sequences are exactly the sort of ordering TSan verifies.
-TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L mvcc
+# EBR under TSan: the epoch protocol's release sequences (and the skip
+# list's unlink-then-retire churn) are exactly the sort of ordering TSan
+# verifies.
+TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L ebr
 # Fast path under TSan: unlocked readers traverse bases that mutators change
 # in place; the seqlock acquire fences and the per-stripe sequence words are
 # the only thing standing between that and a data race, so this is the suite

@@ -93,26 +93,21 @@ class PredicationAdapter : public StmAdapterBase<PredicationAdapter> {
   baselines::PredicationMap<long, long> map_;
 };
 
-/// Proust eager map over the optimistic LAP (eager/optimistic quadrant);
-/// `combine` enables undo-log combining (a §9 extension).
+/// Proust eager map over the optimistic LAP (eager/optimistic quadrant).
 class EagerOptAdapter : public StmAdapterBase<EagerOptAdapter> {
   using Lap = core::OptimisticLap<long>;
   using Map = core::TxnHashMap<long, long, Lap>;
 
  public:
-  EagerOptAdapter(stm::Mode mode, std::size_t ca_slots, bool combine = false,
+  EagerOptAdapter(stm::Mode mode, std::size_t ca_slots,
                   stm::StmOptions opts = {})
-      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots),
-        map_(lap_, 64, combine), combine_(combine) {}
-  std::string name() const {
-    return combine_ ? "proust-eager+c" : "proust-eager";
-  }
+      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_) {}
+  static std::string name() { return "proust-eager"; }
   Map& map() noexcept { return map_; }
 
  private:
   Lap lap_;
   Map map_;
-  bool combine_;
 };
 
 /// Proust eager map over the pessimistic LAP (Boosting quadrant).

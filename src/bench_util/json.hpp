@@ -24,7 +24,6 @@ struct JsonRecord {
   double ops_per_sec = 0;
   double abort_ratio = 0;
   std::string scheme;  // clock scheme, or "" when not applicable
-  long extra = -1;     // auxiliary swept knob (e.g. update %); < 0 = none
 
   /// Optional attempt-level breakdown (starts/commits/extensions and aborts
   /// by reason) so scheme/mode ablations are diagnosable from the JSON, not
@@ -64,9 +63,6 @@ class JsonWriter {
                    r.abort_ratio);
       if (!r.scheme.empty()) {
         std::fprintf(f, ", \"scheme\": \"%s\"", escape(r.scheme).c_str());
-      }
-      if (r.extra >= 0) {
-        std::fprintf(f, ", \"extra\": %ld", r.extra);
       }
       // Host topology in every record: entries from different machines in
       // one BENCH_STM.json stay machine-comparable.
@@ -112,16 +108,6 @@ class JsonWriter {
                        static_cast<unsigned long long>(r.stats.gate_holds),
                        static_cast<unsigned long long>(r.stats.gate_ns),
                        static_cast<unsigned long long>(r.stats.gate_max_ns));
-        }
-        if (r.stats.ro_commits + r.stats.mvcc_pushed > 0) {
-          std::fprintf(
-              f,
-              ", \"mvcc\": {\"ro_commits\": %llu, \"pushed\": %llu, "
-              "\"reclaimed\": %llu, \"chain_max\": %llu}",
-              static_cast<unsigned long long>(r.stats.ro_commits),
-              static_cast<unsigned long long>(r.stats.mvcc_pushed),
-              static_cast<unsigned long long>(r.stats.mvcc_reclaimed),
-              static_cast<unsigned long long>(r.stats.mvcc_chain_max));
         }
         if (r.stats.total_injected() > 0) {
           std::fprintf(f, ", \"injected\": {");

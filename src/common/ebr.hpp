@@ -62,9 +62,10 @@ struct Retired {
 /// optimistic fast-path read must never leak an epoch pin past the read
 /// that took it — a leaked pin silently stalls reclamation for every
 /// container the thread ever touches. Deliberately excludes raw
-/// enter()/exit() pins, which legitimately outlive a single read: the MVCC
-/// reader pin spans an attempt, and the wrappers' attempt-long reader pin
-/// (reader_pin/reader_unpin) is released by a finish hook.
+/// enter()/exit() pins, which legitimately outlive a single read: the
+/// wrappers' attempt-long reader pin (reader_pin/reader_unpin) is released by
+/// a finish hook, and a live container Snapshot holds its pin until it is
+/// dropped.
 inline int& debug_guard_depth_ref() noexcept {
   thread_local int depth = 0;
   return depth;

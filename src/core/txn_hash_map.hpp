@@ -6,7 +6,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "containers/striped_hash_map.hpp"
 #include "core/abstract_lock.hpp"
@@ -21,27 +20,12 @@ namespace proust::core {
 template <class K, class V, LockAllocatorPolicy<K> Lap>
 class TxnHashMap {
  public:
-  /// `combine_undo` enables undo-log combining — §9's future-work extension
-  /// of the log-combining optimization "to undo logs": instead of one
-  /// inverse per operation, record each key's *original* value on first
-  /// touch and restore it once on abort (O(distinct keys), not O(ops)).
-  explicit TxnHashMap(Lap& lap, std::size_t stripes = 64,
-                      bool combine_undo = false)
+  explicit TxnHashMap(Lap& lap, std::size_t stripes = 64)
       : lock_(lap, UpdateStrategy::Eager), map_(stripes),
-        seqs_(map_.stripe_count(), lap.stm().options().optimistic_reads),
-        combine_undo_(combine_undo) {}
+        seqs_(map_.stripe_count(), lap.stm().options().optimistic_reads) {}
 
   /// Insert or replace. Returns the previous mapping, as Figure 2a's put.
   std::optional<V> put(stm::Txn& tx, const K& key, const V& value) {
-    if (combine_undo_) {
-      return lock_.apply(tx, key, /*write=*/true, [&] {
-        if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
-        std::optional<V> ret = map_.put(key, value);
-        if (!ret) size_.bump(tx, +1);
-        remember_original(tx, key, ret);
-        return ret;
-      });
-    }
     return lock_.apply(
         tx, key, /*write=*/true,
         [&] {
@@ -93,15 +77,6 @@ class TxnHashMap {
   }
 
   std::optional<V> remove(stm::Txn& tx, const K& key) {
-    if (combine_undo_) {
-      return lock_.apply(tx, key, /*write=*/true, [&] {
-        if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
-        std::optional<V> ret = map_.remove(key);
-        if (ret) size_.bump(tx, -1);
-        remember_original(tx, key, ret);
-        return ret;
-      });
-    }
     return lock_.apply(
         tx, key, /*write=*/true,
         [&] {
@@ -124,8 +99,6 @@ class TxnHashMap {
   }
 
  private:
-  using Originals = std::unordered_map<K, std::optional<V>>;
-
   /// Amortize the EBR announce fence across the attempt: the first fast-path
   /// read pins this thread's reader slot in the map's domain and schedules
   /// the unpin at finish (after the abort hooks — their inverses retire
@@ -140,32 +113,10 @@ class TxnHashMap {
         [this, slot](stm::Outcome) { map_.reader_unpin(slot); });
   }
 
-  /// Record `old` as key's pre-transaction value unless one is already
-  /// recorded; the single abort hook restores every touched key once.
-  void remember_original(stm::Txn& tx, const K& key,
-                         const std::optional<V>& old) {
-    const bool fresh = !tx.has_local(this);
-    Originals& originals =
-        tx.local<Originals>(this, [] { return Originals{}; });
-    if (fresh) {
-      tx.on_abort([this, &originals] {
-        for (const auto& [k, ov] : originals) {
-          if (ov) {
-            map_.put(k, *ov);
-          } else {
-            map_.remove(k);
-          }
-        }
-      });
-    }
-    originals.try_emplace(key, old);
-  }
-
   AbstractLock<K, Lap> lock_;
   containers::StripedHashMap<K, V> map_;
   ReadSeqTable seqs_;  // one word per base shard (fast read path only)
   CommittedSize size_;
-  bool combine_undo_ = false;
 };
 
 }  // namespace proust::core

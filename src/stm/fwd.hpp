@@ -18,7 +18,6 @@ class Txn;
 class VarBase;
 class ChaosPolicy;
 class CommitFence;
-class MvccState;
 struct StallReport;
 class Wal;
 
@@ -68,7 +67,6 @@ enum class AbortReason : std::uint8_t {
   FallbackGate,      // commit yielded to an in-flight irrevocable fallback
   Explicit,          // user called Txn::abort()
   ChaosInjected,     // spurious abort injected by the chaos policy
-  MvccPromote,       // snapshot-mode attempt wrote after reading; retry as writer
   kCount,
 };
 
@@ -84,7 +82,6 @@ constexpr const char* to_string(AbortReason r) noexcept {
     case AbortReason::FallbackGate: return "fallback-gate";
     case AbortReason::Explicit: return "explicit";
     case AbortReason::ChaosInjected: return "chaos-injected";
-    case AbortReason::MvccPromote: return "mvcc-promote";
     default: return "?";
   }
 }

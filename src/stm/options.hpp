@@ -69,20 +69,6 @@ struct StmOptions {
   /// Global-clock scheme used by writing commits (see ClockScheme).
   ClockScheme clock_scheme = ClockScheme::IncOnCommit;
 
-  // --- Multi-version snapshot reads (DESIGN.md §11) ------------------------
-  /// Keep a short per-Var version chain at every writing commit so that
-  /// read-only transactions read a consistent start-timestamp snapshot with
-  /// no read set, no validation and no aborts, regardless of concurrent
-  /// writers. Read-only is either declared (Stm::atomically_ro) or detected:
-  /// an attempt that aborts without having buffered any write retries in
-  /// snapshot mode, and a snapshot attempt that turns out to write is
-  /// retried as a writer (AbortReason::MvccPromote). Writers pay one pool
-  /// node push per overwritten var plus chain truncation against the minimum
-  /// active snapshot; chains are reclaimed through epoch-based reclamation
-  /// (common/ebr.hpp). Off by default — non-MVCC configs take one
-  /// never-taken branch on the read path and pay nothing at commit.
-  bool mvcc = false;
-
   // --- Lock-free optimistic read fast path (DESIGN.md §12) -----------------
   /// Let the Proust wrappers serve read-only operations (get/contains/peek)
   /// without acquiring the abstract lock: the base structure is read under

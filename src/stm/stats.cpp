@@ -65,11 +65,6 @@ std::string StatsSnapshot::to_string() const {
     os << " gate{holds=" << gate_holds << " total=" << gate_ns
        << "ns max=" << gate_max_ns << "ns}";
   }
-  if (ro_commits + mvcc_pushed > 0) {
-    os << " mvcc{ro_commits=" << ro_commits << " pushed=" << mvcc_pushed
-       << " reclaimed=" << mvcc_reclaimed << " chain_max=" << mvcc_chain_max
-       << "}";
-  }
   if (fastpath_hits + fastpath_fallbacks > 0) {
     os << " fastpath{hits=" << fastpath_hits
        << " fallbacks=" << fastpath_fallbacks << "}";
@@ -133,10 +128,6 @@ StatsSnapshot Stats::snapshot() const {
     s.gate_holds += ld(c.gate_holds);
     s.gate_ns += ld(c.gate_ns);
     s.gate_max_ns = std::max(s.gate_max_ns, ld(c.gate_max_ns));
-    s.ro_commits += ld(c.ro_commits);
-    s.mvcc_pushed += ld(c.mvcc_pushed);
-    s.mvcc_reclaimed += ld(c.mvcc_reclaimed);
-    s.mvcc_chain_max = std::max(s.mvcc_chain_max, ld(c.mvcc_chain_max));
     s.fastpath_hits += ld(c.fastpath_hits);
     s.fastpath_fallbacks += ld(c.fastpath_fallbacks);
     s.wal_publishes += ld(c.wal_publishes);
@@ -166,10 +157,6 @@ void Stats::reset() {
     st(c.gate_holds, 0);
     st(c.gate_ns, 0);
     st(c.gate_max_ns, 0);
-    st(c.ro_commits, 0);
-    st(c.mvcc_pushed, 0);
-    st(c.mvcc_reclaimed, 0);
-    st(c.mvcc_chain_max, 0);
     st(c.fastpath_hits, 0);
     st(c.fastpath_fallbacks, 0);
     st(c.wal_publishes, 0);

@@ -58,15 +58,6 @@ struct StatsSnapshot {
   std::uint64_t gate_ns = 0;
   std::uint64_t gate_max_ns = 0;
 
-  /// MVCC mode: commits that took the snapshot read-only path (no read set,
-  /// no validation, cannot abort), version-chain entries pushed by writers,
-  /// entries reclaimed through EBR, and the longest chain ever observed by a
-  /// pushing writer.
-  std::uint64_t ro_commits = 0;
-  std::uint64_t mvcc_pushed = 0;
-  std::uint64_t mvcc_reclaimed = 0;
-  std::uint64_t mvcc_chain_max = 0;
-
   /// Optimistic read fast path (DESIGN.md §12): unlocked reads admitted
   /// without the abstract lock, and attempts that were eligible but fell
   /// back to the locked slow path (unstable word, frozen snapshot, chaos).
@@ -112,10 +103,6 @@ class Stats {
     std::uint64_t gate_holds = 0;
     std::uint64_t gate_ns = 0;
     std::uint64_t gate_max_ns = 0;
-    std::uint64_t ro_commits = 0;
-    std::uint64_t mvcc_pushed = 0;
-    std::uint64_t mvcc_reclaimed = 0;
-    std::uint64_t mvcc_chain_max = 0;
     std::uint64_t fastpath_hits = 0;
     std::uint64_t fastpath_fallbacks = 0;
     std::uint64_t wal_publishes = 0;
@@ -171,16 +158,6 @@ class Stats {
       bump(c_->gate_holds);
       bump(c_->gate_ns, ns);
       if (ns > ld(c_->gate_max_ns)) st(c_->gate_max_ns, ns);
-    }
-    void count_ro_commit() noexcept { bump(c_->ro_commits); }
-    /// `n` chain entries pushed this commit; `chain_len` the longest chain
-    /// the writer left behind.
-    void count_mvcc_push(std::uint64_t n, std::uint64_t chain_len) noexcept {
-      bump(c_->mvcc_pushed, n);
-      if (chain_len > ld(c_->mvcc_chain_max)) st(c_->mvcc_chain_max, chain_len);
-    }
-    void count_mvcc_reclaim(std::uint64_t n) noexcept {
-      bump(c_->mvcc_reclaimed, n);
     }
     void count_fastpath_hit() noexcept { bump(c_->fastpath_hits); }
     void count_fastpath_fallback() noexcept { bump(c_->fastpath_fallbacks); }

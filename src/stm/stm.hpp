@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
@@ -23,7 +22,6 @@
 #include "common/backoff.hpp"
 #include "stm/commit_fence.hpp"
 #include "stm/fwd.hpp"
-#include "stm/mvcc.hpp"
 #include "stm/options.hpp"
 #include "stm/stats.hpp"
 #include "stm/thread_registry.hpp"
@@ -34,21 +32,13 @@ namespace proust::stm {
 class Stm {
  public:
   explicit Stm(Mode mode = Mode::Lazy, StmOptions options = {})
-      : mode_(mode), options_(options) {
-    if (options_.mvcc) {
-      mvcc_ = std::make_unique<MvccState>(ThreadRegistry::kMaxSlots);
-    }
-  }
+      : mode_(mode), options_(options) {}
   Stm(const Stm&) = delete;
   Stm& operator=(const Stm&) = delete;
 
   Mode mode() const noexcept { return mode_; }
   const StmOptions& options() const noexcept { return options_; }
   Stats& stats() noexcept { return stats_; }
-
-  /// Multi-version snapshot state, or nullptr when StmOptions::mvcc is off
-  /// (the Txn hot paths branch on this pointer exactly once).
-  MvccState* mvcc_state() noexcept { return mvcc_.get(); }
 
   /// In-flight irrevocable-fallback hold, for the watchdog: entry time in
   /// steady-clock nanoseconds (0 = gate not held) and the holder's slot.
@@ -129,27 +119,6 @@ class Stm {
   /// propagate.
   template <class F>
   auto atomically(F&& body) -> std::invoke_result_t<F&, Txn&> {
-    return atomically_impl(std::forward<F>(body), /*declared_ro=*/false);
-  }
-
-  /// Like `atomically`, but the caller promises the body performs no writes,
-  /// no validated (`read_validate`) reads, and no commit-locked hooks. Under
-  /// StmOptions::mvcc every attempt runs as a snapshot reader: it pins a
-  /// start timestamp, reads historical versions, and commits without taking
-  /// locks or validating — such a call can never abort on conflict. A write
-  /// inside the body is a contract violation and throws std::logic_error.
-  /// Without mvcc this is identical to `atomically`. Nested calls join the
-  /// enclosing transaction unchanged (a read-only body is safe inside any
-  /// transaction; the promise only constrains this body, not the parent).
-  template <class F>
-  auto atomically_ro(F&& body) -> std::invoke_result_t<F&, Txn&> {
-    return atomically_impl(std::forward<F>(body), /*declared_ro=*/true);
-  }
-
- private:
-  template <class F>
-  auto atomically_impl(F&& body, bool declared_ro)
-      -> std::invoke_result_t<F&, Txn&> {
     using R = std::invoke_result_t<F&, Txn&>;
     if (Txn* cur = Txn::current()) {
       if (&cur->stm() != this) {
@@ -159,7 +128,6 @@ class Stm {
       return body(*cur);
     }
     Txn tx(*this);
-    if (declared_ro && mvcc_ != nullptr) tx.mvcc_declared_ = true;
     // The attempts histogram counts every call, including one that ends in
     // a propagating user exception.
     struct CallGuard {
@@ -221,7 +189,6 @@ class Stm {
     }
   }
 
- public:
   /// Shared-side commit gate used when the fallback is enabled. Ordinary
   /// commits try-lock it; failure means a fallback transaction is running
   /// and the committer must abort (never block while holding STM locks).
@@ -229,8 +196,6 @@ class Stm {
   std::shared_mutex& gate() noexcept { return gate_; }
 
  private:
-  friend class Txn;
-
   static std::uint64_t steady_now_ns() noexcept {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -271,7 +236,6 @@ class Stm {
   StmOptions options_;
   Stats stats_;
   std::shared_mutex gate_;
-  std::unique_ptr<MvccState> mvcc_;
   std::atomic<std::uint64_t> gate_entered_ns_{0};
   std::atomic<std::uint32_t> gate_holder_{~0u};
 };
@@ -342,7 +306,7 @@ inline bool Txn::fast_read_cut() {
 
 inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
                                      std::uint64_t observed) {
-  assert(active_ && !mvcc_reader_);
+  assert(active_);
   if (arena_.seq_reads.size() + arena_.fence_reads.size() >=
       kMaxUnlockedReads) {
     return false;
@@ -384,7 +348,7 @@ inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
 
 inline bool Txn::admit_unlocked_fence_read(const CommitFence* fence,
                                            std::uint64_t observed) {
-  assert(active_ && !mvcc_reader_);
+  assert(active_);
   assert(CommitFence::quiescent(observed));
   if (arena_.seq_reads.size() + arena_.fence_reads.size() >=
       kMaxUnlockedReads) {

@@ -6,11 +6,9 @@
 #include <shared_mutex>
 #include <stdexcept>
 
-#include "common/backoff.hpp"
 #include "common/ebr.hpp"
 #include "stm/chaos.hpp"
 #include "stm/commit_fence.hpp"
-#include "stm/mvcc.hpp"
 #include "stm/stm.hpp"
 #include "stm/wal.hpp"
 
@@ -41,8 +39,7 @@ Txn::Txn(Stm& stm)
       mode_(stm.mode()),
       scheme_(stm.options().clock_scheme),
       slot_(ThreadRegistry::slot()),
-      stats_(stm.stats().counters(slot_)),
-      mvcc_state_(stm.mvcc_state()) {
+      stats_(stm.stats().counters(slot_)) {
   assert(tls_current == nullptr && "a transaction is already running here");
   assert(arena_.writes.empty() && arena_.locals.empty() &&
          "arena not reset by the previous transaction");
@@ -70,17 +67,6 @@ void Txn::begin() {
   active_ = true;
   snapshot_frozen_ = false;
   wal_epoch_ = 0;
-  if (mvcc_state_ != nullptr &&
-      (mvcc_declared_ || (mvcc_try_snapshot_ && !mvcc_ineligible_)))
-      [[unlikely]] {
-    // Snapshot-reader attempt: announce before pinning rv (so truncating
-    // writers keep every version this snapshot can need — mvcc.hpp), and
-    // stay EBR-pinned for the whole attempt so truncated chain suffixes we
-    // may still traverse are not reclaimed under us.
-    rv_ = mvcc_state_->reader_begin(slot_, stm_.clock_);
-    mvcc_reader_ = true;
-    snapshot_reads_ = 0;
-  }
   stats_.count_start();
 }
 
@@ -145,13 +131,6 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
   assert(active_);
   assert(size == var.size_);
   stats_.count_read();
-  if (mvcc_reader_) [[unlikely]] {
-    // Snapshot mode: no read set, no validation, no conflict aborts. The
-    // chaos gate stays: injected aborts must exercise the reader unwind too.
-    chaos_point(ChaosPoint::TxnRead);
-    mvcc_read(var, dst, size);
-    return;
-  }
   chaos_point(ChaosPoint::TxnRead);
 
   if (detail::WriteEntry* e = find_write(&var)) {
@@ -207,12 +186,6 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
 void Txn::read_validate_impl(const VarBase& var) {
   assert(active_);
   stats_.count_read();
-  // Validation reads are conflict-abstraction brackets over *current* base
-  // state — incompatible with reading a historical snapshot. A snapshot
-  // attempt demotes (or retries) as a writer, and the call stops being
-  // auto-detected as read-only.
-  if (mvcc_reader_) [[unlikely]] mvcc_promote();
-  if (mvcc_state_ != nullptr) [[unlikely]] mvcc_ineligible_ = true;
   chaos_point(ChaosPoint::TxnRead);
 
   if (mode_ == Mode::EagerAll) {
@@ -266,8 +239,6 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
   assert(active_);
   assert(size == var.size_);
   stats_.count_write();
-  if (mvcc_reader_) [[unlikely]] mvcc_promote();
-  if (mvcc_state_ != nullptr) [[unlikely]] mvcc_ineligible_ = true;
 
   if (detail::WriteEntry* e = find_write(&var)) {
     if (mode_ == Mode::Lazy) {
@@ -303,126 +274,6 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
   std::memcpy(e.undo.ensure(size), var.data_, size);
   e.wrote = true;
   std::memcpy(var.data_, src, size);
-}
-
-void Txn::mvcc_read(const VarBase& var, void* dst, std::size_t size) {
-  ++snapshot_reads_;
-  for (;;) {
-    const std::uintptr_t w = var.orec_.load();
-    if (Orec::is_locked(w)) [[unlikely]] {
-      // A writer is mid-commit. Its wv will exceed our rv (wv is generated
-      // from a clock that already covered rv when the locks were taken), so
-      // the value this snapshot needs is the one being displaced — and the
-      // writer pushes it onto the chain before overwriting. Wait out the
-      // bounded commit window rather than read a possibly-mid-overwrite
-      // value; writers never wait on us, so this cannot deadlock.
-      Backoff::cpu_relax();
-      continue;
-    }
-    const Version ver = Orec::version_of(w);
-    if (ver <= rv_) {
-      // Current committed value is within the snapshot: seqlock copy.
-      std::memcpy(dst, var.data_, size);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (var.orec_.load() == w) return;
-      continue;  // torn by a concurrent committer
-    }
-    // In-place value postdates the snapshot. The acquire load of the orec
-    // that produced `ver` ordered us after that committer's chain push, so
-    // the chain holds every displaced version down to the truncation
-    // horizon, which our announcement bounds at <= rv (mvcc.hpp). Walk
-    // newest-first to the first entry inside the snapshot. Concurrent
-    // pushes prepend strictly newer versions (skipped) and truncation only
-    // unlinks entries older than the horizon (EBR keeps them alive for us).
-    for (const VersionNode* v = var.chain_.load(std::memory_order_acquire);
-         v != nullptr; v = v->next.load(std::memory_order_acquire)) {
-      if (v->version <= rv_) {
-        assert(v->size == size);
-        std::memcpy(dst, v->bytes(), size);
-        return;
-      }
-    }
-    // Unreachable by the horizon argument; tolerate an exotic interleaving
-    // by re-sampling the orec rather than failing.
-    assert(false && "mvcc chain missing a snapshot-visible version");
-  }
-}
-
-void Txn::mvcc_promote() {
-  if (mvcc_declared_) {
-    throw std::logic_error(
-        "transaction declared read-only (Stm::atomically_ro) attempted a "
-        "write, validated read, or commit-locked hook");
-  }
-  // Misdetected read-only call: stop trying snapshot mode for this call.
-  mvcc_ineligible_ = true;
-  mvcc_try_snapshot_ = false;
-  if (snapshot_reads_ == 0) {
-    // Nothing was observed through the snapshot yet, so nothing constrains
-    // this attempt to it: demote in place and continue as an ordinary
-    // writer. rv_ came from the same clock an ordinary begin() reads.
-    mvcc_state_->reader_end(slot_);
-    mvcc_reader_ = false;
-    return;
-  }
-  throw ConflictAbort{AbortReason::MvccPromote};
-}
-
-void Txn::mvcc_publish_chains() {
-  // The EBR pin brackets push + truncation: retire() requires it, and the
-  // pin is what publishes our unlinks to the epochs that eventually reclaim
-  // (common/ebr.hpp). Horizon after wv generation: a reader our scan misses
-  // pinned an rv at least as new as the clock value bounding the horizon.
-  ebr::EbrDomain& ebr = mvcc_state_->ebr();
-  ebr.enter(slot_);
-  const Version h = mvcc_state_->horizon(stm_.clock_);
-  std::uint64_t pushed = 0, retired = 0, chain_max = 0;
-  const std::size_t nwrites = arena_.writes.size();
-  for (std::size_t i = 0; i < nwrites; ++i) {
-    detail::WriteEntry& e = arena_.writes[i];
-    if (!e.locked) continue;
-    VarBase& var = *e.var;
-    // The displaced committed value: still in place for lazy commits
-    // (write-back has not run), in the undo buffer for eager ones.
-    const void* displaced;
-    if (mode_ == Mode::Lazy) {
-      if (!e.has_redo) continue;
-      displaced = var.data_;
-    } else {
-      if (!e.wrote) continue;
-      displaced = e.undo.data(var.size_);
-    }
-    VersionNode* n = mvcc_state_->pool().acquire(slot_, var.size_);
-    n->version = e.lock.old_version;
-    n->size = var.size_;
-    std::memcpy(n->bytes(), displaced, var.size_);
-    n->next.store(var.chain_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    var.chain_.store(n, std::memory_order_release);
-    ++pushed;
-    // Truncate: keep everything down to (and including) the newest entry
-    // with version <= h — a snapshot at or after the horizon can never need
-    // an older one. Readers still traversing the dropped suffix hold an EBR
-    // pin; retire defers the actual reclaim past their grace period.
-    VersionNode* boundary = n;
-    std::uint64_t len = 1;
-    while (boundary->version > h) {
-      VersionNode* next = boundary->next.load(std::memory_order_relaxed);
-      if (next == nullptr) break;
-      boundary = next;
-      ++len;
-    }
-    VersionNode* drop =
-        boundary->next.load(std::memory_order_relaxed);
-    if (drop != nullptr) {
-      boundary->next.store(nullptr, std::memory_order_release);
-      retired += mvcc_state_->retire_chain(slot_, drop);
-    }
-    if (len > chain_max) chain_max = len;
-  }
-  ebr.exit(slot_);
-  if (pushed != 0) stats_.count_mvcc_push(pushed, chain_max);
-  if (retired != 0) stats_.count_mvcc_reclaim(retired);
 }
 
 bool Txn::validate_read_set() const noexcept {
@@ -523,23 +374,6 @@ void Txn::commit() {
   // domain the thread touches (common/ebr.hpp debug_guard_depth).
   assert(ebr::debug_guard_depth() == 0 &&
          "EBR guard held across a transaction boundary");
-
-  // Snapshot readers commit unconditionally: no locks were taken, no
-  // validation is owed (every read came from the pinned snapshot), and the
-  // fallback gate does not apply — a snapshot reader holds nothing any
-  // writer can be waiting on.
-  if (mvcc_reader_) [[unlikely]] {
-    assert(arena_.writes.empty() && arena_.commit_locked_hooks.empty());
-    assert(arena_.seq_reads.empty() && arena_.fence_reads.empty() &&
-           "snapshot readers are fast-path ineligible");
-    mvcc_state_->reader_end(slot_);
-    mvcc_reader_ = false;
-    active_ = false;
-    stats_.count_commit();
-    stats_.count_ro_commit();
-    finish_attempt(Outcome::Committed, /*rethrow=*/true);
-    return;
-  }
 
   // Fail-stop durability: once the log has failed, refuse any commit that
   // would produce redo records — before locks are taken, so the unwind is
@@ -673,10 +507,6 @@ void Txn::commit() {
   if (wal_ != nullptr) [[unlikely]] wal_publish();
   exit_commit_fences();
 
-  // MVCC: preserve every value this commit displaces, before the lazy
-  // write-back overwrites it and before any lock release publishes wv.
-  if (mvcc_state_ != nullptr) [[unlikely]] mvcc_publish_chains();
-
   if (mode_ == Mode::Lazy) {
     for (std::size_t i = 0; i < nwrites; ++i) {
       detail::WriteEntry& e = arena_.writes[i];
@@ -690,12 +520,6 @@ void Txn::commit() {
   // release: a cut that observed the fence quiescent must never see a
   // half-written (still-locked) var paired with this commit's epoch.
   if (wal_fenced) [[unlikely]] wal_->checkpoint_fence().exit();
-  // MVCC: make this commit visible to the *next* snapshot reader. Under
-  // LazyBump the clock is normally caught up lazily by readers that trip
-  // over a too-new version and retry — but snapshot readers never retry, so
-  // without this a reader beginning after we return would pin rv < wv and
-  // read the pre-commit state. No-op under the other schemes (clock >= wv).
-  if (mvcc_state_ != nullptr) [[unlikely]] stm_.clock_catch_up(wv);
   clear_reader_marks();
   active_ = false;
   stats_.count_commit();
@@ -731,11 +555,6 @@ void Txn::run_commit_locked_hooks() noexcept {
 
 void Txn::wal_log_slow(std::uint32_t stream, const void* data, std::size_t n) {
   assert(active_);
-  // Redo records describe an operation against *current* state —
-  // incompatible with running from a historical snapshot. Like a validated
-  // read, logging demotes (or retries) the attempt as an ordinary writer.
-  if (mvcc_reader_) [[unlikely]] mvcc_promote();
-  if (mvcc_state_ != nullptr) [[unlikely]] mvcc_ineligible_ = true;
   Wal::stage_record(arena_.wal_buf, stream, data, n);
   ++arena_.wal_records;
 }
@@ -801,26 +620,6 @@ void Txn::rollback(AbortReason reason) noexcept {
   if (!active_) return;  // commit already completed; nothing to unwind
   stats_.count_abort(reason);
   if (reason != AbortReason::ChaosInjected) ++eligible_attempts_;
-  if (mvcc_state_ != nullptr) [[unlikely]] {
-    if (mvcc_reader_) {
-      mvcc_state_->reader_end(slot_);
-      mvcc_reader_ = false;
-    }
-    // Read-only auto-detection: an attempt that aborted without doing
-    // anything writer-shaped — no buffered or eager writes, no
-    // commit-locked/abort hooks, no abstract-lock stripes, no validated
-    // reads (flagged via mvcc_ineligible_) — retries in snapshot mode, where
-    // it cannot conflict again.
-    if (!mvcc_ineligible_ && arena_.writes.empty() &&
-        arena_.commit_locked_hooks.empty() && arena_.abort_hooks.empty() &&
-        arena_.lock_holds.empty() && arena_.seq_reads.empty() &&
-        arena_.fence_reads.empty() && arena_.seq_holds.empty()) {
-      // Attempts that used the optimistic read fast path retry on it (a
-      // snapshot reader is fast-path ineligible, and base reads would not
-      // come from the pinned snapshot anyway).
-      mvcc_try_snapshot_ = true;
-    }
-  }
   // Proust inverse operations: reverse order, while this transaction's STM
   // locks (covering its conflict-abstraction locations) are still held. A
   // throwing inverse cannot be propagated from this noexcept unwind path;

@@ -110,11 +110,6 @@ class Txn {
   void freeze_snapshot() noexcept { snapshot_frozen_ = true; }
   bool snapshot_frozen() const noexcept { return snapshot_frozen_; }
 
-  /// True while this attempt runs as an MVCC snapshot reader: reads come
-  /// from the version chains at the pinned start timestamp, no read set is
-  /// kept, and the attempt cannot abort on a conflict (StmOptions::mvcc).
-  bool is_snapshot_reader() const noexcept { return mvcc_reader_; }
-
   /// Set while this transaction holds the STM's exclusive fallback gate (it
   /// must not also take the shared side at commit).
   void set_gate_exempt(bool exempt) noexcept { gate_exempt_ = exempt; }
@@ -135,7 +130,7 @@ class Txn {
 
   /// May this attempt serve reads through the unlocked fast path at all?
   bool fast_read_eligible() const noexcept {
-    return optimistic_reads_ && !mvcc_reader_ && !gate_exempt_;
+    return optimistic_reads_ && !gate_exempt_;
   }
 
   /// Admit an unlocked read observed while `*word` held the stable (even)
@@ -193,7 +188,6 @@ class Txn {
   // --- Hook registration (see file comment for semantics) -----------------
   void on_abort(Hook fn) { arena_.abort_hooks.push_back(std::move(fn)); }
   void on_commit_locked(Hook fn) {
-    if (mvcc_reader_) [[unlikely]] mvcc_promote();
     arena_.commit_locked_hooks.push_back(std::move(fn));
   }
   /// As above, but additionally holds `fence` across [wv generation ..
@@ -201,7 +195,6 @@ class Txn {
   /// base that is missing a logically-committed, not-yet-replayed commit
   /// (see commit_fence.hpp).
   void on_commit_locked(Hook fn, CommitFence& fence) {
-    if (mvcc_reader_) [[unlikely]] mvcc_promote();
     arena_.commit_locked_hooks.push_back(std::move(fn));
     arena_.commit_fences.push_back(&fence);
   }
@@ -302,18 +295,6 @@ class Txn {
 
   detail::WriteEntry* find_write(const VarBase* var) noexcept;
   detail::WriteEntry& new_write(VarBase* var);
-  /// Snapshot read (MVCC reader attempts): newest committed version <= rv_,
-  /// from the var in place or its version chain. Never aborts.
-  void mvcc_read(const VarBase& var, void* dst, std::size_t size);
-  /// A snapshot attempt tried to write (or register a commit-locked hook /
-  /// validation read). Declared-read-only calls get a logic_error; detected
-  /// ones demote in place when no snapshot read happened yet, otherwise
-  /// throw ConflictAbort{MvccPromote} so the retry runs as a writer.
-  void mvcc_promote();
-  /// Writer commit in MVCC mode: push every displaced value onto its var's
-  /// chain (before in-place overwrite / lock release) and truncate against
-  /// the minimum active snapshot. Requires all write locks held.
-  void mvcc_publish_chains();
   /// A read met `ver > rv_`: under LazyBump the clock may still trail `ver`,
   /// so raise it first — otherwise the retried attempt would begin with the
   /// same stale `rv` and livelock on the same location.
@@ -397,15 +378,6 @@ class Txn {
   bool optimistic_reads_ = false;  // StmOptions::optimistic_reads, cached
   bool write_table_on_ = false;  // flat-table tier engaged this attempt
   std::uint64_t write_bloom_ = 0;
-  // MVCC state (all dormant — mvcc_state_ == nullptr — unless the Stm was
-  // built with StmOptions::mvcc; the non-MVCC hot paths then cost one
-  // predictable never-taken branch).
-  MvccState* mvcc_state_ = nullptr;
-  bool mvcc_reader_ = false;     // this attempt runs in snapshot mode
-  bool mvcc_declared_ = false;   // whole call declared read-only (atomically_ro)
-  bool mvcc_try_snapshot_ = false;  // auto-detection: next attempt goes snapshot
-  bool mvcc_ineligible_ = false;    // call did writer-only things; stop trying
-  std::uint64_t snapshot_reads_ = 0;  // snapshot reads served this attempt
   // Durability state (dormant — wal_ == nullptr — unless the Stm was built
   // with StmOptions::durability; commits then cost one never-taken branch).
   Wal* wal_ = nullptr;

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "stm/mvcc.hpp"
 #include "stm/orec.hpp"
 
 namespace proust::stm {
@@ -39,18 +38,6 @@ class alignas(kCacheLine) VarBase {
   /// per-orec version-monotonicity invariant.
   Version unsafe_version() const noexcept {
     return Orec::version_of(orec_.load());
-  }
-
-  /// Non-transactional: length of the retained version chain (MVCC mode
-  /// only; always 0 otherwise). Quiescent inspection — the truncation tests
-  /// use it to show chains shrink once readers release their snapshots.
-  std::size_t unsafe_chain_length() const noexcept {
-    std::size_t n = 0;
-    for (const VersionNode* v = chain_.load(std::memory_order_acquire);
-         v != nullptr; v = v->next.load(std::memory_order_acquire)) {
-      ++n;
-    }
-    return n;
   }
 
   std::uint32_t unsafe_size() const noexcept { return size_; }
@@ -83,18 +70,7 @@ class alignas(kCacheLine) VarBase {
  protected:
   VarBase(void* data, std::size_t size) noexcept
       : data_(data), size_(static_cast<std::uint32_t>(size)) {}
-  /// Retained versions are plain operator-new blocks owned by whichever list
-  /// currently links them; a destroyed var owns its chain, and destruction
-  /// implies no concurrent readers, so free it directly (pool recycling only
-  /// matters on the steady-state truncation path).
-  ~VarBase() {
-    VersionNode* v = chain_.load(std::memory_order_relaxed);
-    while (v != nullptr) {
-      VersionNode* next = v->next.load(std::memory_order_relaxed);
-      ::operator delete(v);
-      v = next;
-    }
-  }
+  ~VarBase() = default;
 
  private:
   friend class Txn;
@@ -104,10 +80,6 @@ class alignas(kCacheLine) VarBase {
   std::atomic<std::uint64_t> readers_{0};
   void* data_;
   std::uint32_t size_;
-  /// Newest-first chain of displaced values (StmOptions::mvcc only;
-  /// otherwise permanently null and never touched). Mutated only by the
-  /// orec lock holder; traversed by snapshot readers under an EBR pin.
-  std::atomic<VersionNode*> chain_{nullptr};
 };
 
 template <class T>

@@ -213,46 +213,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// --- MVCC column ------------------------------------------------------------
-
-// Same differential harness with StmOptions::mvcc on: writers push version
-// chains, clean aborted attempts auto-retry as snapshot readers, and chaos
-// still injects everywhere (snapshot readers keep their injection points, so
-// "read-only never aborts" is asserted only absent injection — see
-// mvcc_test.cpp). The final state must still match the sequential reference.
-class MvccChaosMapTest : public ::testing::TestWithParam<Param> {};
-
-TEST_P(MvccChaosMapTest, DifferentialUnderInjection) {
-  const MapConfig& cfg = std::get<0>(GetParam());
-  const std::uint64_t seed = base_seed() + 977 + std::get<1>(GetParam());
-  SCOPED_TRACE("chaos seed " + std::to_string(seed) + " (config " + cfg.name +
-               ", mvcc)");
-
-  stm::ChaosPolicy policy(stm::ChaosConfig::standard(seed));
-  policy.install_lock_hook();
-  stm::StmOptions opts;
-  opts.chaos = &policy;
-  opts.mvcc = true;
-  auto map = cfg.make_with(opts);
-
-  const long kKeys = 32;
-  const auto reference = run_differential(*map, seed, 4, 250, kKeys);
-
-  policy.remove_lock_hook();
-  expect_map_equals(*map, reference, kKeys);
-  EXPECT_EQ(policy.leaks(), 0u);
-  EXPECT_GT(policy.injected_total(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MvccChaosMapTest,
-    ::testing::Combine(::testing::ValuesIn(opaque_map_configs()),
-                       ::testing::Values(0u)),
-    [](const auto& info) {
-      return std::get<0>(info.param).name + "_s" +
-             std::to_string(std::get<1>(info.param));
-    });
-
 // --- Determinism contract ---------------------------------------------------
 
 TEST(ChaosDeterminismTest, SameSeedSameDecisionStream) {

@@ -236,18 +236,6 @@ inline std::vector<MapConfig> all_map_configs() {
   // The Sec. 9 log-combining extension to snapshot replays.
   add_snap("combining", stm::Mode::Lazy, true);
 
-  // The Sec. 9 log-combining extension to undo logs (eager wrapper).
-  {
-    using Map = core::TxnHashMap<long, long, OptLap>;
-    configs.push_back(
-        {"eager_undo_combining", [opt_lap](const stm::StmOptions& o) {
-           return std::make_unique<detail::ProustMapHandle<OptLap, Map>>(
-               stm::Mode::EagerAll, o, opt_lap, [](OptLap& l) {
-                 return std::make_unique<Map>(l, 64, /*combine_undo=*/true);
-               });
-         }});
-  }
-
   // The "empty quarter" of Figure 1: snapshot shadow copies under
   // pessimistic locks. Sequentially fine, but NOT serializable under
   // concurrency: the snapshot covers the whole map while 2PL only protects

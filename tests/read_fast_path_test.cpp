@@ -94,21 +94,6 @@ TEST(ReadFastPath, PairConsistencyAcrossConfigs) {
   }
 }
 
-TEST(ReadFastPath, PairConsistencyUnderMvcc) {
-  // PR6 interaction: version publishing and snapshot GC run alongside
-  // fast-path readers (ordinary transactions; snapshot readers themselves
-  // are fast-path ineligible, which Txn::commit asserts).
-  stm::StmOptions o = optimistic_opts();
-  o.mvcc = true;
-  for (const auto& cfg : opaque_map_configs()) {
-    if (cfg.name != "eager_pess" && cfg.name != "lazy_memo_lazystm") continue;
-    auto map = cfg.make_with(o);
-    EXPECT_EQ(run_pair_race(*map, /*writer_rounds=*/200, /*reader_threads=*/2),
-              0)
-        << cfg.name;
-  }
-}
-
 TEST(ReadFastPath, ReadYourWritesThroughAdmission) {
   // The fast path must never serve a read that has a pending transactional
   // write behind it: eager wrappers have already mutated the base (and hold

@@ -162,67 +162,6 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ZeroAllocTest,
                            return std::string(to_string(info.param));
                          });
 
-// --- MVCC mode --------------------------------------------------------------
-// Version-chain nodes come from the per-slot VersionPool and recycle through
-// EBR limbo back into it: after warm-up (which sizes the pool to cover the
-// chain + limbo in flight), writer commits, truncation, reclamation and
-// snapshot reads must all be heap-free.
-
-TEST(ZeroAllocMvcc, WriterCommitsRecycleChainNodes) {
-  Stm stm(Mode::Lazy, StmOptions{.mvcc = true});
-  std::vector<Var<long>> vars(4);
-  const std::size_t n = allocations_in_steady_state(
-      [&](int i) {
-        stm.atomically([&](Txn& tx) {
-          for (auto& v : vars) tx.write(v, tx.read(v) + i);
-        });
-      },
-      /*warmup=*/512);
-  EXPECT_EQ(n, 0u);
-  EXPECT_GT(stm.stats().snapshot().mvcc_reclaimed, 0u)
-      << "steady state never recycled a chain node";
-}
-
-TEST(ZeroAllocMvcc, SnapshotReadersAllocateNothing) {
-  Stm stm(Mode::Lazy, StmOptions{.mvcc = true});
-  std::vector<Var<long>> vars(16);
-  for (auto& v : vars) {
-    stm.atomically([&](Txn& tx) { tx.write(v, 1L); });
-  }
-  long sink = 0;
-  const std::size_t n = allocations_in_steady_state([&](int) {
-    sink += stm.atomically_ro([&](Txn& tx) {
-      long s = 0;
-      for (auto& v : vars) s += tx.read(v);
-      return s;
-    });
-  });
-  EXPECT_EQ(n, 0u);
-  EXPECT_EQ(sink % 16, 0);
-}
-
-TEST(ZeroAllocMvcc, MixedWriterAndReaderSteadyStateAllocatesNothing) {
-  // Interleaved writer transactions (chain push + truncate + EBR retire)
-  // and declared read-only snapshots (pin, chain walk, unpin) on one thread.
-  Stm stm(Mode::Lazy, StmOptions{.mvcc = true});
-  std::vector<Var<long>> vars(8);
-  long sink = 0;
-  const std::size_t n = allocations_in_steady_state(
-      [&](int i) {
-        stm.atomically([&](Txn& tx) {
-          for (auto& v : vars) tx.write(v, long{i});
-        });
-        sink += stm.atomically_ro([&](Txn& tx) {
-          long s = 0;
-          for (auto& v : vars) s += tx.read(v);
-          return s;
-        });
-      },
-      /*warmup=*/512);
-  EXPECT_EQ(n, 0u);
-  EXPECT_GT(sink, 0);
-}
-
 // --- The Proust layer on top of the STM ------------------------------------
 // The abstract-lock fast path and the arena-backed replay logs must preserve
 // the zero-allocation invariant end to end. The loops put/get fixed existing
