@@ -60,12 +60,12 @@ const std::vector<std::string> kSwitches = {"smoke"};
 const std::vector<std::string> kValueFlags = {
     "preset", "ops",       "warmup",   "runs",     "stat",   "threads",
     "o",      "u",         "key-range", "zipf",    "scan-frac",
-    "scan-width", "ca-slots", "pin",    "mode",     "scheme", "read-path",
+    "scan-width", "ca-slots", "pin",    "mode",     "read-path",
     "fallback", "prefill",  "decr",     "fsync-n",  "mult",   "json",
     "label"};
 
 /// What the running preset reads: the command line, the row sink, and the
-/// StmOptions (--scheme, --read-path) every Stm it builds starts from.
+/// StmOptions (--read-path) every Stm it builds starts from.
 struct Ctx {
   const Cli& cli;
   RowSink& out;
@@ -118,10 +118,7 @@ struct Ctx {
     r.preset = preset;
     r.family = family;
     r.impl = impl;
-    if (stm != nullptr) {
-      r.mode = stm::to_string(stm->mode());
-      r.scheme = stm::to_string(stm->options().clock_scheme);
-    }
+    if (stm != nullptr) r.mode = stm::to_string(stm->mode());
     return r;
   }
 };
@@ -1156,8 +1153,6 @@ int main(int argc, char** argv) {
 
   RowSink out(stdout);
   Ctx ctx{cli, out, preset, cli.has("smoke"), {}};
-  ctx.opts.clock_scheme =
-      cli.get_enum("scheme", stm::ClockScheme::IncOnCommit, Cli::kSchemes);
   ctx.opts.optimistic_reads = cli.get_enum("read-path", false, kReadPaths);
   check_flags(ctx);
 

@@ -11,9 +11,9 @@
 //                      the canonical single-thread workloads (read_only,
 //                      write_heavy, read_modify_write, write_large) in every
 //                      mode, and a multi-thread sweep (1/2/4/8/16 threads,
-//                      override with --mt-threads=) of write workloads under
-//                      both global-clock schemes, which is what captures
-//                      commit-path scaling rather than just constant factors.
+//                      override with --mt-threads=) of write workloads,
+//                      which is what captures commit-path scaling rather
+//                      than just constant factors.
 #include <benchmark/benchmark.h>
 
 #include <barrier>
@@ -209,21 +209,18 @@ struct MtSpec {
   long total_txns;
 };
 
-/// One (workload, mode, scheme, threads) cell of the multi-thread sweep.
-/// Workloads are write-shaped on purpose: writing commits are the only
-/// transactions that touch the global clock, so they are where the scheme
-/// shows up.
+/// One (workload, mode, threads) cell of the multi-thread sweep. Workloads
+/// are write-shaped on purpose: writing commits are the only transactions
+/// that touch the global clock, so they are where its cost shows up.
 ///   mt_write_heavy    — every txn writes the same 8 shared vars (w/w
 ///                       contention plus clock traffic)
 ///   mt_disjoint_write — each thread writes its own 8 vars (the clock is the
 ///                       only shared word: isolates commit-path overhead)
 ///   mt_counter        — single shared read-modify-write counter (maximum
-///                       data contention; on Lazy, LazyBump aborts every read
-///                       of a value committed ahead of the clock)
-bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
-                              int threads, stm::ChaosPolicy* chaos) {
+///                       data contention)
+bench::JsonRecord run_mt_cell(const MtSpec& spec, int threads,
+                              stm::ChaosPolicy* chaos) {
   stm::StmOptions opts;
-  opts.clock_scheme = scheme;
   opts.chaos = chaos;
   stm::Stm stm(spec.mode, opts);
 
@@ -267,7 +264,6 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
       sec <= 0 ? 0.0
                : static_cast<double>(spec.total_txns) * spec.ops_per_txn / sec,
       s.abort_ratio()};
-  rec.scheme = stm::to_string(scheme);
   rec.with_stats(s);
   return rec;
 }
@@ -314,7 +310,6 @@ int run_trajectory(const bench::Cli& cli) {
       bench::JsonRecord rec{"micro_stm", cell.workload, stm::to_string(mode),
                             1, cell.ops_per_txn, cell.write_fraction,
                             cell.ops_per_sec, cell.abort_ratio};
-      rec.scheme = stm::to_string(stm::ClockScheme::IncOnCommit);
       if (chaos) rec.with_stats(stm.stats().snapshot());
       json.add(std::move(rec));
       std::printf("%-20s %-12s %8d %8.2f %8.4f\n", cell.workload,
@@ -323,11 +318,9 @@ int run_trajectory(const bench::Cli& cli) {
     }
   }
 
-  // Thread sweep: both clock schemes over write-shaped workloads.
+  // Thread sweep over write-shaped workloads.
   const auto mt_threads =
       cli.get_longs("mt-threads", std::vector<long>{1, 2, 4, 8, 16});
-  const stm::ClockScheme schemes[] = {stm::ClockScheme::IncOnCommit,
-                                      stm::ClockScheme::LazyBump};
   const MtSpec mt_specs[] = {
       {"mt_write_heavy", stm::Mode::Lazy, 8, 120000 * scale},
       {"mt_write_heavy", stm::Mode::EagerWrite, 8, 120000 * scale},
@@ -335,18 +328,16 @@ int run_trajectory(const bench::Cli& cli) {
       {"mt_disjoint_write", stm::Mode::EagerWrite, 8, 120000 * scale},
       {"mt_counter", stm::Mode::Lazy, 2, 120000 * scale},
   };
-  std::printf("\n%-20s %-12s %-12s %8s %8s %8s\n", "workload", "mode",
-              "scheme", "threads", "Mops/s", "abort");
+  std::printf("\n%-20s %-12s %8s %8s %8s\n", "workload", "mode", "threads",
+              "Mops/s", "abort");
   for (const MtSpec& spec : mt_specs) {
-    for (stm::ClockScheme scheme : schemes) {
-      for (long t : mt_threads) {
-        bench::JsonRecord rec =
-            run_mt_cell(spec, scheme, static_cast<int>(t), chaos.get());
-        std::printf("%-20s %-12s %-12s %8d %8.2f %8.4f\n",
-                    rec.workload.c_str(), rec.mode.c_str(), rec.scheme.c_str(),
-                    rec.threads, rec.ops_per_sec / 1e6, rec.abort_ratio);
-        json.add(std::move(rec));
-      }
+    for (long t : mt_threads) {
+      bench::JsonRecord rec =
+          run_mt_cell(spec, static_cast<int>(t), chaos.get());
+      std::printf("%-20s %-12s %8d %8.2f %8.4f\n", rec.workload.c_str(),
+                  rec.mode.c_str(), rec.threads, rec.ops_per_sec / 1e6,
+                  rec.abort_ratio);
+      json.add(std::move(rec));
     }
   }
 

@@ -18,14 +18,13 @@
 
 #include "bench_util/topology.hpp"
 #include "stm/fwd.hpp"
-#include "stm/options.hpp"
 
 namespace proust::bench {
 
 class Cli {
  public:
-  /// The names each enum-valued flag accepts (--mode, --scheme, --pin,
-  /// --stat), in the order the rejection message lists them.
+  /// The names each enum-valued flag accepts (--mode, --pin, --stat), in
+  /// the order the rejection message lists them.
   template <class E>
   using Named = std::pair<const char*, E>;
 
@@ -33,9 +32,6 @@ class Cli {
       {"lazy", stm::Mode::Lazy},
       {"eagerwrite", stm::Mode::EagerWrite},
       {"eagerall", stm::Mode::EagerAll}};
-  static constexpr Named<stm::ClockScheme> kSchemes[] = {
-      {"inc", stm::ClockScheme::IncOnCommit},
-      {"lazybump", stm::ClockScheme::LazyBump}};
   static constexpr Named<topo::PinPolicy> kPinPolicies[] = {
       {"none", topo::PinPolicy::None},
       {"compact", topo::PinPolicy::Compact},
@@ -145,7 +141,7 @@ class Cli {
     return out.empty() ? def : out;
   }
 
-  /// One name from `names`, e.g. --scheme=lazybump.
+  /// One name from `names`, e.g. --mode=lazy.
   template <class E, std::size_t N>
   E get_enum(const std::string& flag, E def,
              const Named<E> (&names)[N]) const {

@@ -23,10 +23,9 @@ struct JsonRecord {
   double write_fraction = -1;  // < 0 = not applicable
   double ops_per_sec = 0;
   double abort_ratio = 0;
-  std::string scheme;  // clock scheme, or "" when not applicable
 
   /// Optional attempt-level breakdown (starts/commits/extensions and aborts
-  /// by reason) so scheme/mode ablations are diagnosable from the JSON, not
+  /// by reason) so mode ablations are diagnosable from the JSON, not
   /// just a throughput number. Call with a StatsSnapshot to attach it.
   JsonRecord& with_stats(const stm::StatsSnapshot& s) {
     stats = s;
@@ -61,9 +60,6 @@ class JsonWriter {
                    escape(r.workload).c_str(), escape(r.mode).c_str(),
                    r.threads, r.ops_per_txn, r.write_fraction, r.ops_per_sec,
                    r.abort_ratio);
-      if (!r.scheme.empty()) {
-        std::fprintf(f, ", \"scheme\": \"%s\"", escape(r.scheme).c_str());
-      }
       // Host topology in every record: entries from different machines in
       // one BENCH_STM.json stay machine-comparable.
       {

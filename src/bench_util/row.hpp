@@ -22,7 +22,7 @@ struct Row {
   // What ran.
   std::string preset, family, impl;
   std::string variant;  // the preset's series label: regime, mix, policy...
-  std::string mode, scheme, pin;
+  std::string mode, pin;
   std::optional<long> threads, ops_per_txn, key_range, scan_width, ca_slots;
   std::optional<double> u, zipf, scan_frac;
   // What it measured. Counts are per timed run.
@@ -75,7 +75,6 @@ class RowSink {
         {"impl", [](const Row& r) { return text(r.impl); }, false},
         {"variant", [](const Row& r) { return text(r.variant); }, false},
         {"mode", [](const Row& r) { return text(r.mode); }, false},
-        {"scheme", [](const Row& r) { return text(r.scheme); }, false},
         {"threads", [](const Row& r) { return num(r.threads); }, true},
         {"ops_per_txn", [](const Row& r) { return num(r.ops_per_txn); }, true},
         {"u", [](const Row& r) { return num(r.u, 3); }, true},

@@ -7,7 +7,10 @@
 //      rollback handler (run in reverse order on abort, while the
 //      transaction's synchronization is still held);
 //   4. under the lazy strategy, performs the Theorem 5.3 read-after-op on
-//      each write-mode lock's CA location.
+//      each lock's CA location, read or write: a locked read of the shared
+//      base is only as good as a CA slot that did not move while the
+//      operation ran, since a committer's replay can land between the
+//      acquire and the base read.
 //
 // The choice of optimistic vs pessimistic conflict resolution stays with the
 // LockAllocatorPolicy passed at construction, exactly as in the paper.
@@ -90,18 +93,14 @@ class AbstractLock {
       if constexpr (!std::is_same_v<std::decay_t<Inv>, NoInverse>) {
         tx.on_abort([inv = std::forward<Inv>(inverse)]() { inv(); });
       }
-      if (strategy_ == UpdateStrategy::Lazy && write) {
-        lap_->post_op(tx, key, write);
-      }
+      if (strategy_ == UpdateStrategy::Lazy) lap_->post_op(tx, key, write);
     } else {
       R result = op();
       if constexpr (!std::is_same_v<std::decay_t<Inv>, NoInverse>) {
         tx.on_abort(
             [inv = std::forward<Inv>(inverse), result]() { inv(result); });
       }
-      if (strategy_ == UpdateStrategy::Lazy && write) {
-        lap_->post_op(tx, key, write);
-      }
+      if (strategy_ == UpdateStrategy::Lazy) lap_->post_op(tx, key, write);
       return result;
     }
   }
@@ -167,9 +166,7 @@ class AbstractLock {
  private:
   void read_after(stm::Txn& tx, std::initializer_list<LockFor<Key>> locks) {
     if (strategy_ != UpdateStrategy::Lazy) return;
-    for (const LockFor<Key>& l : locks) {
-      if (l.write) lap_->post_op(tx, l.key, l.write);
-    }
+    for (const LockFor<Key>& l : locks) lap_->post_op(tx, l.key, l.write);
   }
 
   Lap* lap_;

@@ -76,8 +76,8 @@ class OptimisticLap {
 
   /// Theorem 5.3's read-after-operation: re-validate that no conflicting
   /// transaction committed between this transaction's shadow-copy snapshot
-  /// and now. Called by AbstractLock for write-mode locks under the lazy
-  /// update strategy.
+  /// (or, for a read, its acquire) and now. Called by AbstractLock for
+  /// every lock under the lazy update strategy.
   void post_op(stm::Txn& tx, const Key& key, bool /*write*/) {
     tx.read_validate(slot(key));
   }

@@ -18,7 +18,6 @@ class Txn;
 class VarBase;
 class ChaosPolicy;
 class CommitFence;
-struct StallReport;
 class Wal;
 
 /// StmOptions::wal_fail_mode — what a permanently-failed log refuses (see

@@ -1,12 +1,11 @@
 // Runtime policy knobs for the STM: the pause between retry attempts (§7's
-// livelock study turns on it), the global-version-clock scheme used by the
-// commit path, the serializing fallback gate that bounds retries under
-// pathological contention, and the progress-watchdog hook.
+// livelock study turns on it), the optimistic read fast path, the
+// serializing fallback gate that bounds retries under pathological
+// contention, fault injection and durability.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 
 #include "stm/fwd.hpp"
 
@@ -32,42 +31,8 @@ constexpr const char* to_string(CmPolicy p) noexcept {
   return "?";
 }
 
-/// How a writing commit obtains its write version `wv` from the STM's global
-/// clock (TL2's GV1 and GV5). The clock word is the one cache line every
-/// writing commit shares, so the scheme decides how commit throughput scales
-/// with thread count; each scheme wins cells the other loses (DESIGN.md §7).
-///
-/// The `rv + 1 == wv` validation-skip fast path is sound ONLY under
-/// IncOnCommit: there every committer increments the clock *after* acquiring
-/// its write locks, so `wv == rv + 1` proves no writer overlapped this
-/// transaction's reads. Under LazyBump the clock does not tick per commit at
-/// all, so it always revalidates the read set.
-enum class ClockScheme : std::uint8_t {
-  /// GV1 (default): every writing commit does one `fetch_add` on the shared
-  /// clock. Keeps the validation-skip fast path and never publishes a
-  /// version ahead of the clock, but every commit ping-pongs the clock cache
-  /// line.
-  IncOnCommit,
-  /// GV5: commit at `clock_now() + 1` without writing the clock at all; a
-  /// reader that meets a too-new version bumps the clock up to it before
-  /// retrying (Stm::clock_catch_up), which bounds the extra aborts this
-  /// scheme trades for a write-free commit.
-  LazyBump,
-};
-
-constexpr const char* to_string(ClockScheme s) noexcept {
-  switch (s) {
-    case ClockScheme::IncOnCommit: return "IncOnCommit";
-    case ClockScheme::LazyBump: return "LazyBump";
-  }
-  return "?";
-}
-
 struct StmOptions {
   CmPolicy cm_policy = CmPolicy::ExponentialBackoff;
-
-  /// Global-clock scheme used by writing commits (see ClockScheme).
-  ClockScheme clock_scheme = ClockScheme::IncOnCommit;
 
   // --- Lock-free optimistic read fast path (DESIGN.md §12) -----------------
   /// Let the Proust wrappers serve read-only operations (get/contains/peek)
@@ -96,20 +61,10 @@ struct StmOptions {
   /// its locks. Under Mode::Lazy the gated attempt therefore meets no orec
   /// lock, so every call finishes within fallback_after + 1 attempts
   /// (DESIGN.md §10 lists the exceptions: encounter-time locks on the eager
-  /// modes, pessimistic abstract locks, LazyBump's clock lag). 0 disables
-  /// the gate entirely (no per-commit cost).
+  /// modes and pessimistic abstract locks). 0 disables the gate entirely (no
+  /// per-commit cost). Hold times are recorded in stats (gate_ns /
+  /// gate_max_ns); Watchdog::Config::fallback_budget judges them in flight.
   unsigned fallback_after = 0;
-
-  /// Budget for one irrevocable fallback attempt (gate-hold duration). The
-  /// hold time is always recorded in stats (gate_ns / gate_max_ns); when the
-  /// budget is nonzero, an overrunning hold is reported by the watchdog
-  /// while it is still in flight. 0 = record but never judge.
-  std::chrono::nanoseconds fallback_budget{0};
-
-  /// Invoked by a Watchdog (stm/watchdog.hpp) when it detects a stalled
-  /// commit epoch or a gate-budget overrun. Called from the watchdog thread;
-  /// must not run transactions on this Stm. Null = report to stderr.
-  std::function<void(const StallReport&)> on_stall;
 
   /// Abstract-lock acquisition timeout used by pessimistic LAPs constructed
   /// without an explicit timeout. Timing out is the runtime's abstract-lock

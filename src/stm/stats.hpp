@@ -185,24 +185,10 @@ class Stats {
   /// Counter handle for a specific registry slot (must be the caller's own).
   Counters counters(unsigned slot) noexcept { return Counters(&cells_[slot]); }
 
-  void count_start() noexcept { bump(cell().starts); }
-  void count_commit() noexcept { bump(cell().commits); }
-  void count_read() noexcept { bump(cell().reads); }
-  void count_write() noexcept { bump(cell().writes); }
-  void count_extension() noexcept { bump(cell().extensions); }
-  void count_abort(AbortReason r) noexcept {
-    bump(cell().aborts[static_cast<std::size_t>(r)]);
-  }
-  void count_injected(ChaosPoint p) noexcept {
-    bump(cell().injected[static_cast<std::size_t>(p)]);
-  }
-
   StatsSnapshot snapshot() const;
   void reset();
 
  private:
-  Cell& cell() noexcept { return cells_[ThreadRegistry::slot()]; }
-
   std::array<Cell, ThreadRegistry::kMaxSlots> cells_{};
 };
 

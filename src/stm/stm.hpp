@@ -1,6 +1,6 @@
-// The STM runtime: a global version clock (with a pluggable advance scheme),
-// a block-allocating stamp source, a conflict detection mode and statistics,
-// plus the `atomically` retry loop.
+// The STM runtime: a global version clock, a block-allocating stamp source,
+// a conflict detection mode and statistics, plus the `atomically` retry
+// loop.
 //
 // Multiple independent Stm instances may coexist (tests do this), but a
 // given transaction touches vars through exactly one Stm, and nested
@@ -53,48 +53,18 @@ class Stm {
     return clock_.load(std::memory_order_acquire);
   }
 
-  /// Produce this commit's write version under the configured clock scheme.
-  /// Must be called *after* the committing transaction holds all of its
-  /// write locks, with `lock_floor` the largest committed version those
-  /// locks displaced. Every scheme upholds two invariants:
+  /// Produce this commit's write version: one `fetch_add` on the shared
+  /// clock (TL2's GV1). Must be called *after* the committing transaction
+  /// holds all of its write locks, which gives two invariants:
   ///  - `wv` postdates lock acquisition: a reader whose `rv >= wv` began
   ///    after this committer's locks were visible, so it can never have
   ///    copied a pre-commit value of ours;
-  ///  - `wv > lock_floor`: a committed orec's version strictly increases,
-  ///    so the exact-version compares in read-set validation can never
-  ///    mistake two different committed states of one var for each other.
-  /// IncOnCommit gets the floor for free (the clock is ticked past every
-  /// released version before anyone can displace it); LazyBump never writes
-  /// the clock on commit, so it enforces the floor explicitly — otherwise
-  /// back-to-back commits to one var would both release at clock+1 and
-  /// reuse a version.
-  Version generate_wv(Version lock_floor) noexcept {
-    if (options_.clock_scheme == ClockScheme::IncOnCommit) {
-      const Version wv = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      assert(wv > lock_floor);
-      return wv;
-    }
-    // LazyBump: commit "in the future" without touching the clock; readers
-    // that meet the version catch the clock up (clock_catch_up). The load is
-    // seq_cst, pairing with the seq_cst CAS in clock_catch_up, so a catch-up
-    // that precedes this load in the seq_cst order is never read stale (see
-    // DESIGN.md §7 for the residual multi-copy-atomic hardware assumption
-    // this scheme shares with TL2's GV5).
-    const Version wv = clock_.load(std::memory_order_seq_cst) + 1;
-    return wv > lock_floor ? wv : lock_floor + 1;
-  }
-
-  /// Raise the clock to at least `v` (no-op if already there). LazyBump
-  /// readers call this when they observe a version ahead of the clock, so
-  /// the retried attempt begins with `rv >= v` and can make progress. The
-  /// successful CAS is seq_cst to pair with the LazyBump clock load in
-  /// generate_wv.
-  void clock_catch_up(Version v) noexcept {
-    Version g = clock_.load(std::memory_order_acquire);
-    while (g < v && !clock_.compare_exchange_weak(g, v,
-                                                  std::memory_order_seq_cst,
-                                                  std::memory_order_acquire)) {
-    }
+  ///  - a committed orec's version strictly increases (the clock is ticked
+  ///    past every released version before anyone can displace it), so the
+  ///    exact-version compares in read-set validation can never mistake two
+  ///    different committed states of one var for each other.
+  Version generate_wv() noexcept {
+    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
 
   /// A process-unique stamp for `slot` (the calling thread's registry slot).
@@ -291,13 +261,10 @@ inline bool Txn::fast_read_cut() {
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
   // Unlocked reads carry no version, so admitting one is only sound at a
-  // cut where the *entire* read set is current. Under IncOnCommit an
-  // unmoved clock proves no writer committed since rv_; LazyBump cannot
-  // prove quiescence from the clock (it never ticks), so any STM read set
-  // forces a full extension.
-  if (!arena_.reads.empty() &&
-      (scheme_ != ClockScheme::IncOnCommit || stm_.clock_now() != rv_))
-      [[unlikely]] {
+  // cut where the *entire* read set is current. An unmoved clock proves no
+  // writer committed since rv_; otherwise the read set forces a full
+  // extension.
+  if (!arena_.reads.empty() && stm_.clock_now() != rv_) [[unlikely]] {
     if (snapshot_frozen_) return false;  // cannot extend; use the slow path
     extend_or_abort();
   }
@@ -331,10 +298,8 @@ inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
   // See fast_read_cut: a non-empty STM read set forces proof of a current
-  // cut (unmoved IncOnCommit clock) or a full extension.
-  if (!arena_.reads.empty() &&
-      (scheme_ != ClockScheme::IncOnCommit || stm_.clock_now() != rv_))
-      [[unlikely]] {
+  // cut (unmoved clock) or a full extension.
+  if (!arena_.reads.empty() && stm_.clock_now() != rv_) [[unlikely]] {
     if (snapshot_frozen_) return false;  // cannot extend; use the slow path
     extend_or_abort();
   }

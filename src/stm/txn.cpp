@@ -37,7 +37,6 @@ Txn::Txn(Stm& stm)
       arena_(TxnArena::of_thread()),
       chaos_(stm.options().chaos),
       mode_(stm.mode()),
-      scheme_(stm.options().clock_scheme),
       slot_(ThreadRegistry::slot()),
       stats_(stm.stats().counters(slot_)) {
   assert(tls_current == nullptr && "a transaction is already running here");
@@ -71,10 +70,6 @@ void Txn::begin() {
 }
 
 std::uint64_t Txn::fresh_stamp() noexcept { return stm_.next_stamp(slot_); }
-
-void Txn::note_version_ahead(Version ver) noexcept {
-  if (scheme_ == ClockScheme::LazyBump) stm_.clock_catch_up(ver);
-}
 
 detail::WriteEntry* Txn::find_write(const VarBase* var) noexcept {
   if ((write_bloom_ & bloom_bit(var)) == 0) return nullptr;
@@ -163,7 +158,6 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
 
     const Version ver = Orec::version_of(w);
     if (ver > rv_) {
-      note_version_ahead(ver);
       if (mode_ == Mode::Lazy) throw ConflictAbort{AbortReason::ReadVersion};
       // Timestamp extension (TinySTM-style). In EagerAll the read set is
       // empty (visible readers make validation unnecessary), so this always
@@ -200,11 +194,9 @@ void Txn::read_validate_impl(const VarBase& var) {
       const LockRecord* rec = Orec::owner_of(w);
       if (rec->owner != this) throw ConflictAbort{AbortReason::ReadLocked};
       if (snapshot_frozen_ && rec->old_version > rv_) {
-        note_version_ahead(rec->old_version);
         throw ConflictAbort{AbortReason::ReadVersion};
       }
     } else if (snapshot_frozen_ && Orec::version_of(w) > rv_) {
-      note_version_ahead(Orec::version_of(w));
       throw ConflictAbort{AbortReason::ReadVersion};
     }
     return;
@@ -221,7 +213,6 @@ void Txn::read_validate_impl(const VarBase& var) {
       ver = Orec::version_of(w);
     }
     if (ver > rv_) {
-      note_version_ahead(ver);
       if (mode_ == Mode::Lazy) throw ConflictAbort{AbortReason::ReadVersion};
       extend_or_abort();
       // Re-load the orec before recording the entry: the var may have been
@@ -295,9 +286,9 @@ void Txn::extend_or_abort() {
     // A pinned shadow copy forbids sliding the snapshot forward.
     throw ConflictAbort{AbortReason::ReadVersion};
   }
-  // Callers that saw a too-new version have already caught the clock up to
-  // it (note_version_ahead), so under every scheme `now` covers the version
-  // that triggered the extension.
+  // Every released version is at most the clock (a committer ticks the
+  // clock before it releases), so `now` covers the version that triggered
+  // the extension.
   const Version now = stm_.clock_now();
   if (!validate_read_set()) {
     throw ConflictAbort{AbortReason::ValidationFailed};
@@ -430,21 +421,9 @@ void Txn::commit() {
     }
   }
 
-  // Every write lock is held from here on. The largest version our locks
-  // displaced bounds the write version from below: generate_wv guarantees
-  // `wv > lock_floor` under every scheme, so an orec's committed version
-  // strictly increases and exact-version validation stays meaningful (under
-  // LazyBump the clock alone cannot provide this — see DESIGN.md §7).
-  Version lock_floor = 0;
-  for (std::size_t i = 0; i < nwrites; ++i) {
-    const detail::WriteEntry& e = arena_.writes[i];
-    if (e.lock.old_version > lock_floor) lock_floor = e.lock.old_version;
-  }
-
-  // Write-version generation is scheme-dependent, and so is the validation
-  // skip: `rv_ + 1 == wv` proves "no writer overlapped us" only under
-  // IncOnCommit, where every committer ticks the clock after taking its
-  // locks. LazyBump never ticks at all, so it must always revalidate.
+  // Every write lock is held from here on, so the clock tick in generate_wv
+  // postdates them: `rv_ + 1 == wv` proves no writer committed between our
+  // snapshot and our locks, and the read set need not be revalidated.
   // Registered commit fences must be held from *before* the clock advance
   // until the replay hooks finish: the moment generate_wv ticks the clock,
   // a fresh transaction's rv covers this commit, and a snapshot shadow copy
@@ -462,23 +441,21 @@ void Txn::commit() {
   if (wal_fenced) [[unlikely]] wal_->checkpoint_fence().enter();
   Version wv;
   try {
-    wv = stm_.generate_wv(lock_floor);
+    wv = stm_.generate_wv();
     // Last legal injection window: every write lock is held and wv exists,
     // but nothing has been applied — an abort here must restore the
     // displaced versions on release. Delays widen the all-locks-held
     // window. (Past the commit-locked hooks there is no aborting, only
     // delay — see run_commit_locked_hooks.)
     chaos_point(ChaosPoint::WvPublish);
-    const bool skip_validation =
-        scheme_ == ClockScheme::IncOnCommit && rv_ + 1 == wv;
     const bool need_validation =
-        mode_ != Mode::EagerAll && !arena_.reads.empty() && !skip_validation;
+        mode_ != Mode::EagerAll && !arena_.reads.empty() && rv_ + 1 != wv;
     if (need_validation) chaos_point(ChaosPoint::TxnValidate);
     if (need_validation && !validate_read_set()) {
       throw ConflictAbort{AbortReason::ValidationFailed};
     }
     // Admitted unlocked reads are validated unconditionally — the
-    // skip_validation shortcut proves no *versioned* writer overlapped, but
+    // `rv_ + 1 == wv` shortcut proves no *versioned* writer overlapped, but
     // sequence words are also bumped by pessimistic mutators that never
     // tick the clock. Own commit fences are entered by now, so exactly one
     // own bracket over the observed word is excused.

@@ -295,10 +295,6 @@ class Txn {
 
   detail::WriteEntry* find_write(const VarBase* var) noexcept;
   detail::WriteEntry& new_write(VarBase* var);
-  /// A read met `ver > rv_`: under LazyBump the clock may still trail `ver`,
-  /// so raise it first — otherwise the retried attempt would begin with the
-  /// same stale `rv` and livelock on the same location.
-  void note_version_ahead(Version ver) noexcept;
   /// Check that every read-set entry still holds the version observed at
   /// read time (or is locked by this transaction with that displaced
   /// version).
@@ -361,7 +357,6 @@ class Txn {
   TxnArena& arena_;
   ChaosPolicy* chaos_;  // from StmOptions; nullptr = injection disabled
   Mode mode_;
-  ClockScheme scheme_;
   unsigned slot_;
   Stats::Counters stats_;  // initialized from slot_; keep declared after it
   Version rv_ = 0;

@@ -594,10 +594,6 @@ void Wal::write_batch(const Batch& b) {
       (void)full_write_raw(fd_.get(), payload.data(), payload.size() / 2);
       ::_exit(kWalCrashExitCode);
     }
-    if (const int e = injected_io_error(ChaosPoint::WalAppend)) {
-      fail("write", e, seg_path_);
-      return false;
-    }
     if (!write_all(fd_.get(), header.data(), header.size(), seg_path_) ||
         !write_all(fd_.get(), payload.data(), payload.size(), seg_path_)) {
       return false;
@@ -652,10 +648,6 @@ void Wal::write_batch(const Batch& b) {
   // in the page cache; relaxed acks may be lost, strict acks were never
   // given (durable_epoch has not covered them).
   if (chaos_crash(ChaosPoint::WalFsync)) ::_exit(kWalCrashExitCode);
-  if (const int e = injected_io_error(ChaosPoint::WalFsync)) {
-    fail("fsync", e, seg_path_);
-    return;
-  }
   // fsync never consults the error policy: after a failed fsync the kernel
   // may have discarded the dirty pages, so a retried fsync that "succeeds"
   // would certify data that never reached the platter (fsyncgate).
@@ -699,10 +691,6 @@ bool Wal::rotate_segment() {
   // into place — recovery must discard the orphaned .tmp and keep reading
   // the old tail segment.
   if (chaos_crash(ChaosPoint::WalRotate)) ::_exit(kWalCrashExitCode);
-  if (const int e = injected_io_error(ChaosPoint::WalRotate)) {
-    fail("rename", e, tmp_path);
-    return false;
-  }
   for (unsigned attempts = 0;;) {
     if (fs_->rename(tmp_path.c_str(), final_path.c_str()) == 0) break;
     const int err = errno;

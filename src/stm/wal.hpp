@@ -146,10 +146,6 @@ struct WalOptions {
   /// same policy the Stm uses. The committer thread draws from its own
   /// registry slot's stream, so decisions stay deterministic per seed.
   ChaosPolicy* chaos = nullptr;
-  /// Deterministic I/O-failure injection for the fail-stop tests: called
-  /// before each write/fsync/rename with the matching gate; a nonzero
-  /// return is treated as that errno failing the operation.
-  std::function<int(ChaosPoint)> io_failure;
   /// Write-path filesystem; null = real syscalls. The fault suites plug a
   /// common::ChaosFs here. (Recovery reads bypass this — a recovery scan
   /// already treats every malformed byte as a torn tail.)
@@ -422,9 +418,6 @@ class Wal {
   /// WalAppend can tear the write first), Delay/Abort/Timeout coerce to an
   /// injected delay, None is free.
   bool chaos_crash(ChaosPoint p) noexcept;
-  int injected_io_error(ChaosPoint p) noexcept {
-    return opts_.io_failure ? opts_.io_failure(p) : 0;
-  }
 
   WalOptions opts_;
   common::Fs* fs_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "stm/chaos.hpp"
 #include "stm/stm.hpp"
@@ -31,7 +32,7 @@ std::string StallReport::to_string() const {
 
 Watchdog::Watchdog(Stm& stm) : Watchdog(stm, Config{}) {}
 
-Watchdog::Watchdog(Stm& stm, Config cfg) : stm_(stm), cfg_(cfg) {
+Watchdog::Watchdog(Stm& stm, Config cfg) : stm_(stm), cfg_(std::move(cfg)) {
   thread_ = std::thread([this] { run(); });
 }
 
@@ -45,9 +46,8 @@ void Watchdog::stop() {
 }
 
 void Watchdog::deliver(const StallReport& report) {
-  const auto& handler = stm_.options().on_stall;
-  if (handler) {
-    handler(report);
+  if (cfg_.on_stall) {
+    cfg_.on_stall(report);
   } else {
     std::fprintf(stderr, "[proust watchdog] %s\n", report.to_string().c_str());
   }
@@ -66,7 +66,7 @@ void Watchdog::run() {
     const StatsSnapshot snap = stm_.stats().snapshot();
 
     // --- Fallback-gate budget -------------------------------------------
-    const auto budget = stm_.options().fallback_budget;
+    const auto budget = cfg_.fallback_budget;
     const std::uint64_t gate_t0 = stm_.gate_entered_ns();
     if (budget.count() > 0 && gate_t0 != 0 && gate_t0 != reported_gate_t0 &&
         now > gate_t0 &&

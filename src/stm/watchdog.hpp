@@ -10,11 +10,11 @@
 // starts advancing with no commit landing, or a held fallback gate. On a
 // stall the watchdog assembles a StallReport — the counts it judged on, the
 // fallback-gate holder if any, and the chaos seed when fault injection is
-// active so the hang is replayable — and delivers it to
-// StmOptions::on_stall (stderr when unset).
+// active so the hang is replayable — and delivers it to Config::on_stall
+// (stderr when unset).
 //
 // The same reporting channel covers the irrevocable-fallback budget
-// (StmOptions::fallback_budget): a gate hold that overruns its budget is
+// (Config::fallback_budget): a gate hold that overruns its budget is
 // reported while still in flight, which is what makes a wedged fallback
 // transaction diagnosable rather than silent.
 #pragma once
@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -61,6 +62,13 @@ class Watchdog {
     /// How long the commit count may sit still (with work active) before a
     /// StalledEpoch report fires.
     std::chrono::nanoseconds stall_after = std::chrono::milliseconds(50);
+    /// Budget for one irrevocable fallback attempt (StmOptions::
+    /// fallback_after): a gate hold still in flight past it is reported as
+    /// a GateBudgetOverrun. 0 = never judge.
+    std::chrono::nanoseconds fallback_budget{0};
+    /// Receives every report, on the watchdog thread; must not run
+    /// transactions on the watched Stm. Null = report to stderr.
+    std::function<void(const StallReport&)> on_stall;
   };
 
   explicit Watchdog(Stm& stm);

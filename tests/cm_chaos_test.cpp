@@ -1,11 +1,11 @@
-// Chaos-differential matrix over the fallback gate × global-clock scheme
-// (ctest label "cm"), with exponential backoff between attempts. The
-// inter-attempt policy consumes nothing from the chaos decision streams, so
-// fault-injected runs stay reproducible, and a single-threaded run must
-// replay bit-exactly whether the retry backs off or not. The multi-threaded
-// sweep drives the retry loop and the gate (exclusive attempts, shared-side
-// FallbackGate aborts) under injected aborts/delays/timeouts and checks the
-// committed state against a mutex-guarded reference.
+// Chaos-differential matrix over the fallback gate (ctest label "cm"), with
+// exponential backoff between attempts. The inter-attempt policy consumes
+// nothing from the chaos decision streams, so fault-injected runs stay
+// reproducible, and a single-threaded run must replay bit-exactly whether
+// the retry backs off or not. The multi-threaded sweep drives the retry
+// loop and the gate (exclusive attempts, shared-side FallbackGate aborts)
+// under injected aborts/delays/timeouts and checks the committed state
+// against a mutex-guarded reference.
 //
 // Reproduce a failure with PROUST_CHAOS_SEED=<printed seed>, as in
 // tests/chaos_test.cpp.
@@ -18,7 +18,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -123,21 +122,18 @@ MapConfig config_named(const std::string& name) {
   return {};
 }
 
-using Param = std::tuple<unsigned, stm::ClockScheme>;  // fallback_after
-
-class CmChaosMatrixTest : public ::testing::TestWithParam<Param> {};
+/// Parameter: StmOptions::fallback_after.
+class CmChaosMatrixTest : public ::testing::TestWithParam<unsigned> {};
 
 }  // namespace
 
 TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
-  const auto [fallback, scheme] = GetParam();
-  const std::uint64_t seed = base_seed() +
-                             static_cast<std::uint64_t>(fallback) * 31 +
-                             static_cast<std::uint64_t>(scheme) * 7;
+  const unsigned fallback = GetParam();
+  const std::uint64_t seed =
+      base_seed() + static_cast<std::uint64_t>(fallback) * 31;
   SCOPED_TRACE("chaos seed " + std::to_string(seed));
 
   stm::StmOptions opts;
-  opts.clock_scheme = scheme;
   // 0 leaves the gate off; 8 is small enough that gated attempts interleave
   // with the injected faults (ChaosInjected aborts never count toward it).
   opts.fallback_after = fallback;
@@ -164,15 +160,10 @@ TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, CmChaosMatrixTest,
-    ::testing::Combine(::testing::Values(0u, 8u),
-                       ::testing::Values(stm::ClockScheme::IncOnCommit,
-                                         stm::ClockScheme::LazyBump)),
+    Matrix, CmChaosMatrixTest, ::testing::Values(0u, 8u),
     [](const auto& info) {
-      const unsigned fallback = std::get<0>(info.param);
       return std::string("backoff") +
-             (fallback == 0 ? "" : "_fallback" + std::to_string(fallback)) +
-             "_" + stm::to_string(std::get<1>(info.param));
+             (info.param == 0 ? "" : "_fallback" + std::to_string(info.param));
     });
 
 TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {

@@ -150,14 +150,13 @@ TEST(WatchdogTest, ReportsABodyStuckPastStallAfterUnderDefaultOptions) {
   // in its body starts no further attempts. The watchdog must still see the
   // attempt in flight (begun, neither committed nor aborted) and report.
   ReportSink sink;
-  StmOptions o;
-  o.on_stall = [&sink](const StallReport& r) { sink.push(r); };
-  Stm stm(Mode::Lazy, o);
+  Stm stm(Mode::Lazy);
   Var<long> v(0);
 
   Watchdog::Config cfg;
   cfg.poll = std::chrono::milliseconds(1);
   cfg.stall_after = std::chrono::milliseconds(10);
+  cfg.on_stall = [&sink](const StallReport& r) { sink.push(r); };
   Watchdog dog(stm, cfg);
 
   stm.atomically([&](Txn& tx) {
@@ -184,14 +183,14 @@ TEST(WatchdogTest, ReportsGateBudgetOverrunWhileInFlight) {
   ReportSink sink;
   StmOptions o;
   o.fallback_after = 1;
-  o.fallback_budget = std::chrono::milliseconds(2);
-  o.on_stall = [&sink](const StallReport& r) { sink.push(r); };
   Stm stm(Mode::Lazy, o);
   Var<long> v(0);
 
   Watchdog::Config cfg;
   cfg.poll = std::chrono::milliseconds(1);
   cfg.stall_after = std::chrono::seconds(10);  // only the budget path fires
+  cfg.fallback_budget = std::chrono::milliseconds(2);
+  cfg.on_stall = [&sink](const StallReport& r) { sink.push(r); };
   Watchdog dog(stm, cfg);
 
   stm.atomically([&](Txn& tx) {
@@ -209,7 +208,7 @@ TEST(WatchdogTest, ReportsGateBudgetOverrunWhileInFlight) {
     if (r.kind != StallReport::Kind::GateBudgetOverrun) continue;
     EXPECT_NE(r.gate_holder, ~0u);
     EXPECT_GT(r.stalled_ns,
-              static_cast<std::uint64_t>(o.fallback_budget.count()));
+              static_cast<std::uint64_t>(cfg.fallback_budget.count()));
   }
   const StatsSnapshot s = stm.stats().snapshot();
   EXPECT_EQ(s.gate_holds, 1u);
@@ -226,18 +225,17 @@ TEST(WatchdogTest, LifecycleRestartsCleanlyAndStaysSilentAfterStop) {
   std::atomic<int> reports{0};
   std::atomic<bool> after_stop{false};
   std::atomic<int> late_reports{0};
-  StmOptions o;
-  o.on_stall = [&](const StallReport&) {
-    reports.fetch_add(1);
-    if (after_stop.load()) late_reports.fetch_add(1);
-  };
 
   for (int gen = 0; gen < 3; ++gen) {
-    Stm stm(Mode::Lazy, o);
+    Stm stm(Mode::Lazy);
     Var<long> v(0);
     Watchdog::Config cfg;
     cfg.poll = std::chrono::milliseconds(1);
     cfg.stall_after = std::chrono::milliseconds(5);
+    cfg.on_stall = [&](const StallReport&) {
+      reports.fetch_add(1);
+      if (after_stop.load()) late_reports.fetch_add(1);
+    };
     for (int cycle = 0; cycle < 2; ++cycle) {
       after_stop.store(false);
       Watchdog dog(stm, cfg);

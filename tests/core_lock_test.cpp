@@ -5,6 +5,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/abstract_lock.hpp"
@@ -210,6 +211,66 @@ TEST(AbstractLock, LazyWriteLocksReadAfterOp) {
   EXPECT_EQ(s.writes, 1u) << "CA write before the op";
   EXPECT_EQ(s.reads, 2u)
       << "validated read before the op + Theorem 5.3 read-after";
+}
+
+namespace {
+
+/// Key k -> CA slot k, so two keys are known to sit on different slots.
+struct IdentityHash {
+  std::size_t operator()(long k) const noexcept {
+    return static_cast<std::size_t>(k);
+  }
+};
+
+/// A read-only lazy transaction reads B, then reads A through `apply`. On
+/// the first attempt only, A's operation runs a whole writer transaction to
+/// completion on another thread: it write-acquires A and B and sets both
+/// values in its replay hook. The reader's acquire of A validated before
+/// that commit and its base read of A ran after it, so only the read-after
+/// on A's slot can tell; without it the reader commits a torn pair.
+std::pair<long, long> lazy_read_pair_racing_a_replay(bool list_form) {
+  using Lap = core::OptimisticLap<long, IdentityHash>;
+  constexpr long kA = 1, kB = 2;
+  stm::Stm stm(stm::Mode::Lazy);
+  Lap lap(stm, 16);
+  core::AbstractLock<long, Lap> lock(lap, core::UpdateStrategy::Lazy);
+  long a = 0, b = 0;
+  const auto read = [&](stm::Txn& tx, long key, auto op) {
+    return list_form ? lock.apply(tx, {core::Read(key)}, op)
+                     : lock.apply(tx, key, /*write=*/false, op);
+  };
+  return stm.atomically([&](stm::Txn& tx) {
+    const long sb = read(tx, kB, [&] { return b; });
+    const long sa = read(tx, kA, [&] {
+      if (tx.attempt() == 1) {
+        std::thread writer([&] {
+          stm.atomically([&](stm::Txn& wtx) {
+            lap.acquire(wtx, kA, /*write=*/true);
+            lap.acquire(wtx, kB, /*write=*/true);
+            wtx.on_commit_locked([&] {
+              a = 1;
+              b = 1;
+            });
+          });
+        });
+        writer.join();
+      }
+      return a;
+    });
+    return std::pair<long, long>{sa, sb};
+  });
+}
+
+}  // namespace
+
+TEST(AbstractLock, LazyLockedReadRevalidatesAfterOp) {
+  const auto [a, b] = lazy_read_pair_racing_a_replay(/*list_form=*/false);
+  EXPECT_EQ(a, b) << "a lazy locked read committed a torn pair";
+}
+
+TEST(AbstractLock, LazyLockedReadRevalidatesAfterOpInitializerList) {
+  const auto [a, b] = lazy_read_pair_racing_a_replay(/*list_form=*/true);
+  EXPECT_EQ(a, b) << "a lazy locked read committed a torn pair";
 }
 
 TEST(AbstractLock, EagerDoesNotReadAfterOp) {

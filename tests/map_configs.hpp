@@ -150,7 +150,7 @@ class BaselineMapHandle final : public MapUnderTest {
 struct MapConfig {
   std::string name;
   /// Build the configuration on an Stm constructed with the given options
-  /// (chaos policy, LAP timeouts, clock scheme, fallback threshold...).
+  /// (chaos policy, LAP timeouts, fallback threshold...).
   std::function<std::unique_ptr<MapUnderTest>(const stm::StmOptions&)>
       make_with;
   /// False for the eager/optimistic quadrant on STMs that detect some

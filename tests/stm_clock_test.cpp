@@ -1,12 +1,10 @@
-// Tests for the global-clock scheme axis (StmOptions::clock_scheme) and the
-// block-allocating stamp source:
-//  - snapshot consistency and per-thread monotonicity under every
-//    scheme × mode combination (the validation-skip fast path is only taken
-//    under IncOnCommit; LazyBump's non-ticking clock forces full
-//    revalidation, and these stresses are what would catch a wrongly-kept
-//    skip);
-//  - LazyBump progress: readers that meet a version ahead of the clock must
-//    catch the clock up instead of livelocking;
+// Tests for the global version clock (one `fetch_add` per writing commit,
+// DESIGN.md §7) and the block-allocating stamp source:
+//  - snapshot consistency and per-thread monotonicity under every mode (the
+//    `rv + 1 == wv` validation skip is what these stresses would catch if
+//    it were taken unsoundly);
+//  - per-orec versions strictly increase, and a read that extends its
+//    snapshot re-reads instead of trusting its pre-extension copy;
 //  - stamp blocks: globally unique, strictly increasing per thread, and
 //    never colliding or repeating across thread exit and slot reuse.
 #include <gtest/gtest.h>
@@ -38,40 +36,26 @@ void run_threads(int n, Body&& body) {
   for (auto& th : ts) th.join();
 }
 
-struct SchemeMode {
-  ClockScheme scheme;
-  Mode mode;
-};
-
-std::string scheme_mode_name(
-    const ::testing::TestParamInfo<SchemeMode>& info) {
-  return std::string(to_string(info.param.scheme)) +
-         to_string(info.param.mode);
+std::string mode_name(const ::testing::TestParamInfo<Mode>& info) {
+  return to_string(info.param);
 }
 
 }  // namespace
 
-class ClockSchemeTest : public ::testing::TestWithParam<SchemeMode> {
- protected:
-  StmOptions opts() const {
-    StmOptions o;
-    o.clock_scheme = GetParam().scheme;
-    return o;
-  }
-};
+class ClockTest : public ::testing::TestWithParam<Mode> {};
 
 // Writers keep all K vars equal (read var0, write value+1 everywhere);
 // readers assert that a committed snapshot is never torn and that values
 // observed by successive transactions of one thread never regress (real-time
 // order: the transactions do not overlap). A broken validation skip or a
 // regressed orec version shows up here as a torn or backwards snapshot.
-TEST_P(ClockSchemeTest, SnapshotsStayConsistentAndMonotone) {
+TEST_P(ClockTest, SnapshotsStayConsistentAndMonotone) {
   constexpr int kVars = 4;
   constexpr int kWriters = 2;
   constexpr int kReaders = 2;
   constexpr int kTxnsPerThread = 3000;
 
-  Stm stm(GetParam().mode, opts());
+  Stm stm(GetParam());
   std::vector<Var<long>> vars(kVars);
   std::atomic<bool> torn{false}, regressed{false};
 
@@ -107,8 +91,8 @@ TEST_P(ClockSchemeTest, SnapshotsStayConsistentAndMonotone) {
   }
 }
 
-TEST_P(ClockSchemeTest, ContendedCounterStaysExact) {
-  Stm stm(GetParam().mode, opts());
+TEST_P(ClockTest, ContendedCounterStaysExact) {
+  Stm stm(GetParam());
   Var<long> counter(0);
   constexpr int kThreads = 4;
   run_threads(kThreads, [&](int) {
@@ -119,71 +103,39 @@ TEST_P(ClockSchemeTest, ContendedCounterStaysExact) {
   EXPECT_EQ(counter.unsafe_ref(), long{kThreads} * 2000);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemesAndModes, ClockSchemeTest,
-    ::testing::Values(
-        SchemeMode{ClockScheme::IncOnCommit, Mode::Lazy},
-        SchemeMode{ClockScheme::IncOnCommit, Mode::EagerWrite},
-        SchemeMode{ClockScheme::IncOnCommit, Mode::EagerAll},
-        SchemeMode{ClockScheme::LazyBump, Mode::Lazy},
-        SchemeMode{ClockScheme::LazyBump, Mode::EagerWrite},
-        SchemeMode{ClockScheme::LazyBump, Mode::EagerAll}),
-    scheme_mode_name);
+INSTANTIATE_TEST_SUITE_P(AllModes, ClockTest,
+                         ::testing::Values(Mode::Lazy, Mode::EagerWrite,
+                                           Mode::EagerAll),
+                         mode_name);
 
-// LazyBump never ticks the clock on commit, so a reader that meets the
-// committed version `clock + 1` must raise the clock itself; otherwise every
-// retry would re-begin at the same stale rv and spin forever. Single-var
-// read-modify-write across threads is the worst case.
-TEST(LazyBump, ReadersCatchTheClockUpAndMakeProgress) {
-  StmOptions o;
-  o.clock_scheme = ClockScheme::LazyBump;
-  Stm stm(Mode::Lazy, o);
-  Var<long> v(0);
-  run_threads(2, [&](int) {
-    for (int i = 0; i < 2000; ++i) {
-      stm.atomically([&](Txn& tx) { tx.write(v, tx.read(v) + 1); });
-    }
-  });
-  EXPECT_EQ(v.unsafe_ref(), 4000);
-  // The clock moved (readers bumped it) but ticked far fewer times than the
-  // 4000 commits a per-commit scheme would have cost.
-  EXPECT_GT(stm.clock_now(), 0u);
-}
-
-// LazyBump never writes the clock on commit, so `clock + 1` alone would let
-// back-to-back commits to one var release at the *same* version — two
-// different committed states an exact-version validation compare could not
-// tell apart (the enabler of a torn snapshot on the extension path).
-// generate_wv floors the write version above every displaced lock version:
-// per-orec versions must strictly increase even while the clock never moves.
-TEST(LazyBump, OrecVersionsNeverRepeatWhileClockIsStill) {
-  StmOptions o;
-  o.clock_scheme = ClockScheme::LazyBump;
+// Exact-version validation compares can only tell two committed states of a
+// var apart if a var never releases the same version twice. Every writing
+// commit ticks the clock after taking its locks and releases at the new
+// value, so per-orec versions strictly increase and never run ahead of the
+// clock (timestamp extension relies on the latter).
+TEST(GlobalClock, OrecVersionsStrictlyIncrease) {
   for (Mode mode : {Mode::Lazy, Mode::EagerWrite, Mode::EagerAll}) {
-    Stm stm(mode, o);
+    Stm stm(mode);
     Var<long> v(0);
     Version last = v.unsafe_version();
     for (int i = 0; i < 64; ++i) {
       stm.atomically([&](Txn& tx) { tx.write(v, static_cast<long>(i)); });
       const Version now = v.unsafe_version();
       EXPECT_GT(now, last) << "commit " << i << " reused an orec version";
+      EXPECT_EQ(now, stm.clock_now()) << "commit " << i;
       last = now;
     }
-    EXPECT_EQ(stm.clock_now(), 0u) << "write-only commits must not tick GV5";
   }
 }
 
 // Regression stress for the torn-snapshot scenario on the eager extension
 // path: a read that meets a too-new version extends its snapshot and must
-// then *re-read* the var — the pre-extension copy is stale evidence, and
-// under a version-reusing clock an equal-version re-check would accept a
-// value from a different commit. One hot var recommitted at maximum
-// frequency (so versions would collide constantly without the wv floor)
-// plus a paired var lets a reader detect any tear as a mismatched pair.
-TEST(LazyBump, EagerExtensionRereadsInsteadOfTrustingStaleCopy) {
-  StmOptions o;
-  o.clock_scheme = ClockScheme::LazyBump;
-  Stm stm(Mode::EagerWrite, o);
+// then *re-read* the var — the pre-extension copy is stale evidence, since
+// the var may have been recommitted between the copy and the extension.
+// One hot var recommitted at maximum frequency plus a paired var lets a
+// reader detect any tear as a mismatched pair.
+TEST(GlobalClock, EagerExtensionRereadsInsteadOfTrustingStaleCopy) {
+  Stm stm(Mode::EagerWrite);
   Var<long> a(0), b(0);
   std::atomic<bool> torn{false};
   constexpr int kWriters = 3;
@@ -214,21 +166,6 @@ TEST(LazyBump, EagerExtensionRereadsInsteadOfTrustingStaleCopy) {
   EXPECT_FALSE(torn.load()) << "a committed snapshot mixed two commits";
   EXPECT_EQ(a.unsafe_ref(), long{kWriters} * kTxnsPerThread);
   EXPECT_EQ(b.unsafe_ref(), a.unsafe_ref());
-}
-
-TEST(LazyBump, SingleThreadWriteOnlyLeavesClockUntouched) {
-  StmOptions o;
-  o.clock_scheme = ClockScheme::LazyBump;
-  Stm stm(Mode::Lazy, o);
-  Var<long> a(0), b(0);
-  for (int i = 0; i < 100; ++i) {
-    stm.atomically([&](Txn& tx) {
-      tx.write(a, static_cast<long>(i));
-      tx.write(b, static_cast<long>(i));
-    });
-  }
-  EXPECT_EQ(stm.clock_now(), 0u) << "write-only commits must not tick GV5";
-  EXPECT_EQ(a.unsafe_ref(), 99);
 }
 
 // --- Stamp blocks -----------------------------------------------------------

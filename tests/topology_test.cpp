@@ -267,23 +267,6 @@ TEST(Cli, ModeParsesListedNamesAndRejectsOthers) {
               "eagerwrite, eagerall");
 }
 
-TEST(Cli, SchemeParsesListedNamesAndRejectsOthers) {
-  for (const auto& [name, scheme] : bench::Cli::kSchemes) {
-    EXPECT_EQ(cli_of({std::string("--scheme=") + name})
-                  .get_enum("scheme", stm::ClockScheme::IncOnCommit,
-                            bench::Cli::kSchemes),
-              scheme);
-  }
-  EXPECT_EQ(cli_of({}).get_enum("scheme", stm::ClockScheme::LazyBump,
-                                bench::Cli::kSchemes),
-            stm::ClockScheme::LazyBump);
-  EXPECT_EXIT((void)cli_of({"--scheme=pass"})
-                  .get_enum("scheme", stm::ClockScheme::IncOnCommit,
-                            bench::Cli::kSchemes),
-              ::testing::ExitedWithCode(2),
-              "--scheme=pass: unknown value; accepted values: inc, lazybump");
-}
-
 TEST(Cli, PinPolicyParsesListedNamesAndRejectsOthers) {
   for (const auto& [name, policy] : bench::Cli::kPinPolicies) {
     EXPECT_EQ(cli_of({std::string("--pin=") + name})
@@ -384,10 +367,9 @@ TEST(Row, OneHeaderAndDashesForUnusedColumns) {
   std::free(buf);
   const std::string header = out.substr(0, out.find('\n'));
   const std::string row = out.substr(header.size() + 1);
-  EXPECT_EQ(header.rfind("preset,family,impl,variant,mode,scheme,threads,", 0),
-            0u);
+  EXPECT_EQ(header.rfind("preset,family,impl,variant,mode,threads,", 0), 0u);
   EXPECT_NE(header.find(",host_cpus,host_nodes,host_smt"), std::string::npos);
-  EXPECT_EQ(row.rfind("counter,counter,\"a,b\",-,-,-,4,-,0.250,-,", 0), 0u);
+  EXPECT_EQ(row.rfind("counter,counter,\"a,b\",-,-,4,-,0.250,-,", 0), 0u);
   EXPECT_EQ(bench::RowSink::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
   EXPECT_EQ(bench::RowSink::csv_escape("two\nlines"), "\"two\nlines\"");
   EXPECT_EQ(bench::fmt(3.14159, 3), "3.142");

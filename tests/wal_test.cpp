@@ -22,11 +22,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/chaos_fs.hpp"
 #include "stm/stm.hpp"
 #include "stm/wal.hpp"
 #include "stm/wal_format.hpp"
 
 namespace stm = proust::stm;
+namespace common = proust::common;
 namespace fs = std::filesystem;
 
 namespace {
@@ -531,14 +533,12 @@ TEST(WalTest, IoFailureFailsStopAndRefusesDurableCommits) {
     seen = e;
     ++seen_count;
   };
-  // Inject at the append gate: it fires before any byte of the batch is
-  // written, so the on-disk prefix is exactly the pre-failure history. (A
-  // failure injected at the fsync gate would leave the already-written
-  // batch visible to a live-process recover via the page cache.)
-  bool arm = false;
-  wopts.io_failure = [&](stm::ChaosPoint p) {
-    return (arm && p == stm::ChaosPoint::WalAppend) ? ENOSPC : 0;
-  };
+  // Inject at the batch's first write: it fails before any byte of the
+  // batch is written, so the on-disk prefix is exactly the pre-failure
+  // history. (A failed fsync would leave the already-written batch visible
+  // to a live-process recover via the page cache.)
+  common::ChaosFs cfs;
+  wopts.fs = &cfs;
   stm::Wal wal(wopts);
   stm::StmOptions opts;
   opts.durability = &wal;
@@ -551,7 +551,7 @@ TEST(WalTest, IoFailureFailsStopAndRefusesDurableCommits) {
   EXPECT_FALSE(wal.failed());
 
   // Arm the injected ENOSPC: the strict waiter must observe the failure.
-  arm = true;
+  cfs.inject_once({common::FsOp::Write, ENOSPC, false});
   x = 2;
   EXPECT_THROW(
       s.atomically([&](stm::Txn& tx) { tx.wal_log(1, &x, sizeof x); }),
@@ -588,7 +588,7 @@ TEST(WalTest, ErrorReportIsVisibleBeforeAnyWalUnavailable) {
   // wake-up or early refusal into a missing report.
   TempDir dir("report-first");
   std::atomic<int> reports{0};
-  std::atomic<bool> arm{false};
+  common::ChaosFs cfs;
   stm::WalOptions wopts;
   wopts.dir = dir.path;
   wopts.fsync_every_n = 1;
@@ -597,9 +597,7 @@ TEST(WalTest, ErrorReportIsVisibleBeforeAnyWalUnavailable) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     reports.fetch_add(1);
   };
-  wopts.io_failure = [&](stm::ChaosPoint p) {
-    return (arm.load() && p == stm::ChaosPoint::WalAppend) ? ENOSPC : 0;
-  };
+  wopts.fs = &cfs;
   stm::Wal wal(wopts);
   stm::StmOptions opts;
   opts.durability = &wal;
@@ -607,7 +605,7 @@ TEST(WalTest, ErrorReportIsVisibleBeforeAnyWalUnavailable) {
 
   const std::uint32_t x = 1;
   s.atomically([&](stm::Txn& tx) { tx.wal_log(1, &x, sizeof x); });
-  arm.store(true);
+  cfs.inject_once({common::FsOp::Write, ENOSPC, false});
 
   // Two committers: one is the strict waiter of the failing batch, the
   // other keeps committing until the log refuses it (or its own wait
