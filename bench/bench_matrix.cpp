@@ -60,18 +60,15 @@ const std::vector<std::string> kSwitches = {"smoke"};
 const std::vector<std::string> kValueFlags = {
     "preset", "ops",       "warmup",   "runs",     "stat",   "threads",
     "o",      "u",         "key-range", "zipf",    "scan-frac",
-    "scan-width", "ca-slots", "pin",    "mode",     "read-path",
-    "fallback", "prefill",  "decr",     "fsync-n",  "mult",   "json",
-    "label"};
+    "scan-width", "ca-slots", "pin",    "mode",     "fallback",
+    "prefill",  "decr",     "fsync-n",  "mult",     "json",   "label"};
 
-/// What the running preset reads: the command line, the row sink, and the
-/// StmOptions (--read-path) every Stm it builds starts from.
+/// What the running preset reads: the command line and the row sink.
 struct Ctx {
   const Cli& cli;
   RowSink& out;
   std::string preset;
   bool smoke = false;
-  stm::StmOptions opts;
 
   /// An axis: the flag's values if given, else the preset's default, cut to
   /// its first two values under --smoke.
@@ -234,7 +231,6 @@ MapGrid map_grid(const Ctx& c, long ops, int warmup, int runs) {
   g.cfg = c.config(ops, warmup, runs);
   g.use_min = c.use_min();
   g.prefill = c.scalar("prefill", -1, 1);
-  g.opts = c.opts;
   return g;
 }
 
@@ -371,13 +367,13 @@ void run_ordered_grid(Ctx& c, std::vector<Cell> cells, bool use_min) {
     RunResult r;
     if (cell.impl == "proust-interval" || cell.impl == "proust-coarse") {
       if (cell.impl == "proust-coarse") cell.ca = 1;
-      stm.emplace(mode, c.opts);
+      stm.emplace(mode);
       OrderedLap lap(*stm, static_cast<std::size_t>(cell.ca));
       core::TxnOrderedMap<long, OrderedLap> map(
           lap, 0, cell.cfg.key_range - 1, static_cast<std::size_t>(cell.ca));
       r = ordered_stm_runs(cell, *stm, map);
     } else if (cell.impl == "pure-stm-tree") {
-      stm.emplace(mode, c.opts);
+      stm.emplace(mode);
       baselines::PureStmTreeMap<long, long> map(*stm, 8192);
       r = ordered_stm_runs(cell, *stm, map);
     } else {
@@ -504,7 +500,7 @@ void run_pqueue_grid(Ctx& c, const std::vector<Mix>& mixes,
     for (Cell& cell : cells) {
       cell.cfg.pin_plan = plan_of(cell.pin);
       {  // Eager Proust, optimistic CA on the two abstract-state elements.
-        stm::Stm stm(Mode::EagerAll, c.opts);
+        stm::Stm stm(Mode::EagerAll);
         OptLap lap(stm, 2);
         core::TxnPriorityQueue<long, OptLap> pq(lap);
         cell.impl = "eager-opt";
@@ -512,7 +508,7 @@ void run_pqueue_grid(Ctx& c, const std::vector<Mix>& mixes,
       }
       {  // Pessimistic LAP with the per-element disciplines (MultiSet = group
          // lock: commuting inserts don't serialize).
-        stm::Stm stm(Mode::Lazy, c.opts);
+        stm::Stm stm(Mode::Lazy);
         PessLap lap(stm, 2, core::pqueue_lock_kind, timeout);
         core::TxnPriorityQueue<long, PessLap> pq(lap);
         cell.impl = "pess-group";
@@ -520,7 +516,7 @@ void run_pqueue_grid(Ctx& c, const std::vector<Mix>& mixes,
       }
       {  // Boosting's published approximation: ONE reader-writer stripe for
          // the whole queue (every insert/removeMin takes the write lock).
-        stm::Stm stm(Mode::Lazy, c.opts);
+        stm::Stm stm(Mode::Lazy);
         PessLap lap(
             stm, 1, [](std::size_t) { return sync::LockKind::kReaderWriter; },
             timeout);
@@ -529,7 +525,7 @@ void run_pqueue_grid(Ctx& c, const std::vector<Mix>& mixes,
         pqueue_cell(c, cell, mix, stm, pq, prefill, use_min);
       }
       {  // Lazy Proust over the COW heap (snapshot shadow copies).
-        stm::Stm stm(Mode::Lazy, c.opts);
+        stm::Stm stm(Mode::Lazy);
         OptLap lap(stm, 2);
         core::LazyPriorityQueue<long, OptLap> pq(lap);
         cell.impl = "lazy-snap";
@@ -568,7 +564,7 @@ void run_counter_grid(Ctx& c, std::vector<Cell> cells, double decr,
       const long initial = regime[0] == 'h' ? 100000 : 1;
       cell.variant = regime;
       {
-        stm::Stm stm(Mode::EagerAll, c.opts);
+        stm::Stm stm(Mode::EagerAll);
         Lap lap(stm, 1);
         std::optional<core::TxnCounter<Lap>> counter;
         const RunResult r = run_ops_timed(
@@ -587,7 +583,7 @@ void run_counter_grid(Ctx& c, std::vector<Cell> cells, double decr,
         c.out.add(row);
       }
       {
-        stm::Stm stm(Mode::EagerAll, c.opts);
+        stm::Stm stm(Mode::EagerAll);
         stm::Var<long> value(initial);
         const RunResult r = run_ops_timed(
             cell.cfg,
@@ -718,7 +714,7 @@ struct Scratch {
 /// no Wal; strict acks report their mean wait (wal_wait_ns).
 void wal_commit_cell(Ctx& c, Cell cell, stm::Wal* wal, bool use_min) {
   cell.cfg.pin_plan = plan_of(cell.pin);
-  stm::StmOptions opts = c.opts;
+  stm::StmOptions opts;
   opts.durability = wal;
   stm::Stm s(Mode::Lazy, opts);
   std::vector<stm::Var<long>> vars(static_cast<std::size_t>(cell.cfg.threads));
@@ -767,7 +763,7 @@ void wal_recovery_cell(Ctx& c, const std::string& dir, bool ckpt_on,
       wal.register_var(static_cast<std::uint64_t>(i + 1),
                        vars[static_cast<std::size_t>(i)]);
     }
-    stm::StmOptions opts = c.opts;
+    stm::StmOptions opts;
     opts.durability = &wal;
     stm::Stm s(Mode::Lazy, opts);
     stm::CheckpointOptions copts;  // both triggers 0: manual cuts only,
@@ -869,23 +865,6 @@ void preset_pess_sweep(Ctx& c) {
   run_map_grid(c, g);
 }
 
-/// Locked vs optimistic read path of the boosted map (DESIGN.md §12),
-/// paired and interleaved, over read-mostly mixes at o=8.
-void preset_read_path(Ctx& c) {
-  MapGrid g = map_grid(c, 30000, 1, 3);
-  g.impls = {"proust-pess"};
-  g.os = c.longs("o", {8});
-  g.us = c.doubles("u", {0, 0.1, 0.2});
-  g.threads = c.longs("threads", {1, 2, 4});
-  run_map_ab<PessimisticAdapter>(
-      c, g, {"locked", "optimistic"}, [&](std::size_t side, const Cell& cell) {
-        stm::StmOptions o = g.opts;
-        o.optimistic_reads = side == 1;
-        return std::make_unique<PessimisticAdapter>(
-            cell.mode, static_cast<std::size_t>(cell.ca), o);
-      });
-}
-
 /// Figure 4 (bottom): memoizing shadow copies, log combining off/on.
 void preset_fig4_bottom(Ctx& c) {
   MapGrid g = map_grid(c, 30000, 1, 2);
@@ -899,9 +878,11 @@ void preset_fig4_bottom(Ctx& c) {
 }
 
 /// The log-combining family: §7's memoized-replay combining plus §9's
-/// snapshot-replay extension.
+/// snapshot-replay extension. Its cells take 4-60 ms, where one run can
+/// stray 3x from the median, so each reports the fastest of 10 runs.
 void preset_combining(Ctx& c) {
-  MapGrid g = map_grid(c, 30000, 1, 2);
+  MapGrid g = map_grid(c, 30000, 1, 10);
+  g.use_min = c.use_min(true);
   g.us = c.doubles("u", {1});
   g.threads = c.longs("threads", {2});
   g.os = c.longs("o", {16, 64, 256});
@@ -1102,11 +1083,6 @@ void preset_wal_ab(Ctx& c) {
       });
 }
 
-/// --read-path: wrapper reads through the abstract lock, or the
-/// sequence-validated unlocked fast path (DESIGN.md §12).
-constexpr Cli::Named<bool> kReadPaths[] = {{"locked", false},
-                                           {"optimistic", true}};
-
 /// Parse every flag once before the first run, so a bad value fails fast
 /// whichever flags the preset reads.
 void check_flags(const Ctx& c) {
@@ -1128,7 +1104,6 @@ constexpr Cli::Named<void (*)(Ctx&)> kPresets[] = {
     {"matrix", preset_matrix},
     {"fig4-top", preset_fig4_top},
     {"pess-sweep", preset_pess_sweep},
-    {"read-path", preset_read_path},
     {"fig4-bottom", preset_fig4_bottom},
     {"combining", preset_combining},
     {"design-space", preset_design_space},
@@ -1152,8 +1127,7 @@ int main(int argc, char** argv) {
   void (*const run)(Ctx&) = Cli::lookup("preset", preset, kPresets);
 
   RowSink out(stdout);
-  Ctx ctx{cli, out, preset, cli.has("smoke"), {}};
-  ctx.opts.optimistic_reads = cli.get_enum("read-path", false, kReadPaths);
+  Ctx ctx{cli, out, preset, cli.has("smoke")};
   check_flags(ctx);
 
   const topo::Topology& host = topo::Topology::system();

@@ -3,9 +3,6 @@
 // bookkeeping + shadow copies) over the raw structures the paper re-uses.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
-
 #include "containers/blocking_pqueue.hpp"
 #include "containers/cow_heap.hpp"
 #include "containers/snapshot_hamt.hpp"
@@ -15,18 +12,6 @@
 #include "core/txn_hash_map.hpp"
 
 using namespace proust;
-
-namespace {
-// --read-path={locked,optimistic}: which read path the flag-driven wrapper
-// benchmarks use (the _Locked/_Optimistic pairs below always run both).
-bool g_optimistic_reads = false;
-
-stm::StmOptions read_path_opts() {
-  stm::StmOptions o;
-  o.optimistic_reads = g_optimistic_reads;
-  return o;
-}
-}  // namespace
 
 static void BM_StripedMapPut(benchmark::State& state) {
   containers::StripedHashMap<long, long> m;
@@ -126,38 +111,20 @@ static void BM_LazyTrieMapPut(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyTrieMapPut);
 
-// Transactional lookups through the selected read path (--read-path).
+// Transactional lookups through the two read paths of one wrapper
+// (DESIGN.md §12): over the optimistic LAP on EagerAll they run unlocked and
+// sequence-validated; on Lazy each takes a validated CA read.
+template <stm::Mode M>
 static void BM_TxnHashMapGet(benchmark::State& state) {
-  stm::Stm stm(stm::Mode::Lazy, read_path_opts());
+  stm::Stm stm(M);
   core::OptimisticLap<long> lap(stm, 1024);
   core::TxnHashMap<long, long, core::OptimisticLap<long>> m(lap);
   for (long i = 0; i < 1024; ++i) {
     stm.atomically([&](stm::Txn& tx) { m.put(tx, i, i); });
   }
-  long k = 0;
-  for (auto _ : state) {
-    stm.atomically([&](stm::Txn& tx) {
-      benchmark::DoNotOptimize(m.get(tx, ++k & 1023));
-    });
-  }
-}
-BENCHMARK(BM_TxnHashMapGet);
-
-// The DESIGN.md §12 acceptance pair: pessimistic boosted map lookups with
-// the abstract lock vs the sequence-validated unlocked fast path.
-template <bool Optimistic>
-static void BM_TxnHashMapGetReadPath(benchmark::State& state) {
-  stm::StmOptions o;
-  o.optimistic_reads = Optimistic;
-  stm::Stm stm(stm::Mode::Lazy, o);
-  core::PessimisticLap<long> lap(stm, 1024);
-  core::TxnHashMap<long, long, core::PessimisticLap<long>> m(lap);
-  for (long i = 0; i < 1024; ++i) {
-    stm.atomically([&](stm::Txn& tx) { m.put(tx, i, i); });
-  }
   // Arg = lookups per transaction: o>1 amortizes the fixed begin/commit
-  // cost and exercises the per-admission revalidation scan (fast path) /
-  // multi-stripe hold list (locked path) the --read-sweep cells hit.
+  // cost and exercises the per-admission revalidation scan (unlocked path)
+  // or the growing read set (locked path).
   const long per_txn = state.range(0);
   long k = 0;
   for (auto _ : state) {
@@ -169,28 +136,7 @@ static void BM_TxnHashMapGetReadPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * per_txn);
 }
-BENCHMARK_TEMPLATE(BM_TxnHashMapGetReadPath, false)
+BENCHMARK_TEMPLATE(BM_TxnHashMapGet, stm::Mode::Lazy)
     ->Name("BM_TxnHashMapGet_Locked")->Arg(1)->Arg(8);
-BENCHMARK_TEMPLATE(BM_TxnHashMapGetReadPath, true)
-    ->Name("BM_TxnHashMapGet_Optimistic")->Arg(1)->Arg(8);
-
-int main(int argc, char** argv) {
-  // Consume --read-path before google-benchmark sees (and rejects) it.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--read-path=optimistic") {
-      g_optimistic_reads = true;
-    } else if (arg == "--read-path=locked") {
-      g_optimistic_reads = false;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_TEMPLATE(BM_TxnHashMapGet, stm::Mode::EagerAll)
+    ->Name("BM_TxnHashMapGet_Unlocked")->Arg(1)->Arg(8);

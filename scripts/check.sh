@@ -35,10 +35,12 @@ echo "== ebr: epoch reclamation =="
 # The EBR grace-period protocol + skip-list churn and reclamation.
 ctest --test-dir build --output-on-failure -L ebr
 
-echo "== fastpath: lock-free optimistic read fast path =="
-# Differential races of sequence-validated unlocked readers against mutators
-# across the map-config matrix, plus the chaos column that forces every
-# admission to fall back to the locked path (DESIGN.md §12).
+echo "== fastpath: unlocked read path =="
+# Differential races of sequence-validated unlocked readers (the optimistic
+# LAP on EagerAll) against mutators across the map-config matrix, torn
+# pairs counted in the body and after commit, the chaos column that forces
+# every admission to fall back to the locked path, and the replays of the
+# two-pin and locked-after-unlocked interleavings (DESIGN.md §12).
 ctest --test-dir build --output-on-failure -L fastpath
 # The label again, up to 200 passes, stopping at the first failure: a torn
 # pair between a locked read and a racing replay shows in a small share of
@@ -109,9 +111,11 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_test
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/core_lock_test
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_stress_test
 # Chaos under TSan: injected delays/aborts/timeouts shuffle the interleavings
-# the sanitizer observes. A subset keeps the run inside the time budget.
+# the sanitizer observes. A subset keeps the run inside the time budget;
+# eager_opt_eagerall is the configuration both perfbench workloads run, with
+# its reads unlocked.
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/chaos_test \
-  --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:ChaosDeterminismTest.*'
+  --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:*eager_opt_eagerall*:ChaosDeterminismTest.*'
 # Contention management under TSan: the fallback gate's shared/exclusive
 # handoff and the watchdog's stats snapshots race running transactions; the
 # cm label runs the whole surface (unit + chaos matrix).

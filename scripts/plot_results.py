@@ -71,9 +71,6 @@ TABLES = {
         T("ms", ["impl"], "threads", "ms", split=("u",)),
         T("abort%", ["impl"], "threads", "abort%", split=("u",)),
     ],
-    "read-path": [
-        T("ms", ["variant"], "threads", "ms", split=("u",)),
-    ],
     "fig4-bottom": [
         T("ms", ["impl", "key_range"], "threads", "ms",
           split=("u", "ops_per_txn")),

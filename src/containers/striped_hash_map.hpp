@@ -34,6 +34,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -299,6 +300,47 @@ class StripedHashMap {
       }
       s.count = 0;
     }
+  }
+
+  /// Structural check for quiescent use (no concurrent mutator), run in
+  /// every build: each node sits in the shard and bucket its hash selects,
+  /// no key repeats within a shard, and each shard's count equals the total
+  /// length of its chains. Returns the first violation as text, empty when
+  /// the map is sound. With every node in its hash's bucket, a repeated key
+  /// can only sit twice in one chain, so the duplicate scan stays per chain.
+  std::string check_invariants() const {
+    for (std::size_t si = 0; si < shards_.size(); ++si) {
+      const Shard& s = shards_[si];
+      std::lock_guard<std::mutex> g(s.mu);
+      std::size_t nodes = 0;
+      for (std::size_t b = 0; b < kBucketsPerShard; ++b) {
+        const Node* head = s.buckets[b].load(std::memory_order_acquire);
+        for (const Node* n = head; n != nullptr;
+             n = n->next.load(std::memory_order_acquire)) {
+          const std::size_t h = Hasher{}(n->key);
+          const auto at = [&] {
+            return "shard " + std::to_string(si) + " bucket " +
+                   std::to_string(b) + ": ";
+          };
+          if (stripe_of_hash(h) != si || bucket_of(h) != b) {
+            return at() + "a node's hash selects shard " +
+                   std::to_string(stripe_of_hash(h)) + " bucket " +
+                   std::to_string(bucket_of(h));
+          }
+          for (const Node* m = head; m != n;
+               m = m->next.load(std::memory_order_acquire)) {
+            if (m->key == n->key) return at() + "a key repeats in the chain";
+          }
+          ++nodes;
+        }
+      }
+      if (nodes != s.count) {
+        return "shard " + std::to_string(si) + ": count " +
+               std::to_string(s.count) + " but chains hold " +
+               std::to_string(nodes) + " nodes";
+      }
+    }
+    return {};
   }
 
   /// Iterate a weakly-consistent view: each stripe is visited under its own

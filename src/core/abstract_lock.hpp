@@ -14,9 +14,15 @@
 //
 // The choice of optimistic vs pessimistic conflict resolution stays with the
 // LockAllocatorPolicy passed at construction, exactly as in the paper.
+//
+// Read-only operations take one of two paths, fixed at construction: when
+// the LAP's locked read would publish a visible-reader mark (OptimisticLap
+// on Mode::EagerAll) they run unlocked and sequence-validated
+// (try_read_unlocked, DESIGN.md §12); everywhere else they take the lock.
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
@@ -36,10 +42,14 @@ template <class Key, LockAllocatorPolicy<Key> Lap>
 class AbstractLock {
  public:
   AbstractLock(Lap& lap, UpdateStrategy strategy) noexcept
-      : lap_(&lap), strategy_(strategy) {}
+      : lap_(&lap), strategy_(strategy), unlocked_reads_(lap.reads_visible()) {}
 
   UpdateStrategy strategy() const noexcept { return strategy_; }
   Lap& lap() noexcept { return *lap_; }
+
+  /// Do read-only operations take the unlocked path? Eager wrappers build
+  /// their ReadSeqTable, and their mutators pin it, only when this holds.
+  bool unlocked_reads() const noexcept { return unlocked_reads_; }
 
   /// apply(tx, {locks...})(op) — no inverse (reads, or lazy updates whose
   /// rollback is "drop the replay log").
@@ -105,28 +115,30 @@ class AbstractLock {
     }
   }
 
-  // --- Optimistic read fast path (DESIGN.md §12) --------------------------
+  // --- Unlocked read path (DESIGN.md §12) --------------------------------
   // Run a read-only operation against the base with NO abstract lock: load
   // the bracketing word, require it stable, run `op` (which must rely only
   // on the base's internal synchronization), then hand the observed word to
   // the transaction for admission. Engaged optional = the result is as good
   // as a locked read (the admission recorded it for commit revalidation);
-  // nullopt = discard the result and take the locked slow path. Aborts
-  // propagate (a previously admitted read failed revalidation).
+  // nullopt = discard the result and take the locked slow path, which is
+  // also the only path when unlocked_reads() is false. Aborts propagate (a
+  // previously admitted read failed revalidation).
 
   /// Eager wrappers: bracketed by a ReadSeqTable stripe word that mutators
-  /// pin odd across mutation + rollback (null: the table is disabled).
+  /// pin across mutation + rollback (null when the table was not built).
   template <class F>
   auto try_read_unlocked(stm::Txn& tx,
                          const std::atomic<std::uint64_t>* word, F&& op)
       -> std::optional<std::invoke_result_t<F&>> {
-    if (!tx.fast_read_eligible() || word == nullptr) return std::nullopt;
+    if (!unlocked_reads_ || !tx.fast_read_eligible()) return std::nullopt;
+    assert(word != nullptr && "unlocked reads need the wrapper's ReadSeqTable");
     if (tx.chaos_fastpath_fallback()) [[unlikely]] {
       tx.note_fastpath_fallback();
       return std::nullopt;
     }
     const std::uint64_t s0 = word->load(std::memory_order_acquire);
-    if ((s0 & 1) != 0) {  // a mutator is pinned on this stripe
+    if (!stm::CommitFence::quiescent(s0)) {  // a mutator is pinned here
       tx.note_fastpath_fallback();
       return std::nullopt;
     }
@@ -145,7 +157,7 @@ class AbstractLock {
   template <class F>
   auto try_read_unlocked(stm::Txn& tx, const stm::CommitFence& fence, F&& op)
       -> std::optional<std::invoke_result_t<F&>> {
-    if (!tx.fast_read_eligible()) return std::nullopt;
+    if (!unlocked_reads_ || !tx.fast_read_eligible()) return std::nullopt;
     if (tx.chaos_fastpath_fallback()) [[unlikely]] {
       tx.note_fastpath_fallback();
       return std::nullopt;
@@ -171,6 +183,7 @@ class AbstractLock {
 
   Lap* lap_;
   UpdateStrategy strategy_;
+  bool unlocked_reads_;  // lap.reads_visible(), cached at construction
 };
 
 }  // namespace proust::core

@@ -21,6 +21,7 @@
 // A LAP satisfies:
 //   void acquire(stm::Txn&, const Key&, bool write);   // before the base op
 //   void post_op(stm::Txn&, const Key&, bool write);   // after it (lazy CA read-back)
+//   bool reads_visible();  // does a read acquire publish a visible-reader mark?
 #pragma once
 
 #include <chrono>
@@ -39,6 +40,7 @@ template <class P, class Key>
 concept LockAllocatorPolicy = requires(P p, stm::Txn& tx, const Key& k) {
   { p.acquire(tx, k, true) } -> std::same_as<void>;
   { p.post_op(tx, k, true) } -> std::same_as<void>;
+  { p.reads_visible() } -> std::same_as<bool>;
   { p.stm() } -> std::same_as<stm::Stm&>;
 };
 
@@ -80,6 +82,12 @@ class OptimisticLap {
   /// every lock under the lazy update strategy.
   void post_op(stm::Txn& tx, const Key& key, bool /*write*/) {
     tx.read_validate(slot(key));
+  }
+
+  /// On EagerAll a CA read sets the slot's reader bit, which makes every
+  /// writer of the slot yield; wrappers then read unlocked (DESIGN.md §12).
+  bool reads_visible() const noexcept {
+    return stm_->mode() == stm::Mode::EagerAll;
   }
 
   stm::Stm& stm() noexcept { return *stm_; }
@@ -148,9 +156,16 @@ class PessimisticLap {
       // finish hook), back off, retry.
       tx.retry(stm::AbortReason::AbstractLockTimeout);
     }
+    // The stripe is ours until finish, so what the operation reads next is
+    // stable; reads another wrapper admitted unlocked earlier in this
+    // attempt must still hold for the body to see both.
+    tx.revalidate_unlocked_reads();
   }
 
   void post_op(stm::Txn&, const Key&, bool) {}  // locks are held to finish
+
+  /// Abstract read locks are invisible to the STM; wrappers keep them.
+  bool reads_visible() const noexcept { return false; }
 
   stm::Stm& stm() noexcept { return *stm_; }
 

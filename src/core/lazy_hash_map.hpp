@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 
 #include "containers/striped_hash_map.hpp"
 #include "core/abstract_lock.hpp"
@@ -37,7 +38,7 @@ class LazyHashMap {
   }
 
   std::optional<V> get(stm::Txn& tx, const K& key) {
-    // Optimistic fast path (DESIGN.md §12): with no log engaged, the base
+    // Unlocked path (DESIGN.md §12): with no log engaged, the base
     // only changes inside replay fence brackets, so a quiescent-and-unmoved
     // fence word brackets an unlocked read. An engaged log means pending
     // writes (read-your-writes must go through the shadow) — locked path.
@@ -81,6 +82,9 @@ class LazyHashMap {
   void unsafe_put(const K& key, const V& value) {
     if (!map_.put(key, value)) size_.unsafe_add(1);
   }
+
+  /// The base map's structural check (quiescent use only; empty = sound).
+  std::string check_invariants() const { return map_.check_invariants(); }
 
  private:
   Log& log(stm::Txn& tx) {

@@ -41,7 +41,7 @@ class LazyPriorityQueue {
   }
 
   std::optional<T> min(stm::Txn& tx) {
-    // Optimistic fast path (DESIGN.md §12): the heap only changes inside
+    // Unlocked path (DESIGN.md §12): the heap only changes inside
     // replay fence brackets, so with no log engaged a quiescent-and-unmoved
     // fence word brackets an unlocked peek of the shared heap.
     if (!handle_.engaged(tx)) {

@@ -37,7 +37,7 @@ class LazyTrieMap {
   }
 
   std::optional<V> get(stm::Txn& tx, const K& key) {
-    // Optimistic fast path (DESIGN.md §12): the trie only changes inside
+    // Unlocked path (DESIGN.md §12): the trie only changes inside
     // replay fence brackets, so with no log engaged a quiescent-and-unmoved
     // fence word brackets an unlocked point read of the shared trie.
     if (!handle_.engaged(tx)) {

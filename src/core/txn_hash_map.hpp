@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 
 #include "containers/striped_hash_map.hpp"
 #include "core/abstract_lock.hpp"
@@ -22,7 +23,7 @@ class TxnHashMap {
  public:
   explicit TxnHashMap(Lap& lap, std::size_t stripes = 64)
       : lock_(lap, UpdateStrategy::Eager), map_(stripes),
-        seqs_(map_.stripe_count(), lap.stm().options().optimistic_reads) {}
+        seqs_(map_.stripe_count(), lock_.unlocked_reads()) {}
 
   /// Insert or replace. Returns the previous mapping, as Figure 2a's put.
   std::optional<V> put(stm::Txn& tx, const K& key, const V& value) {
@@ -44,11 +45,11 @@ class TxnHashMap {
   }
 
   std::optional<V> get(stm::Txn& tx, const K& key) {
-    // Optimistic fast path (DESIGN.md §12): read the shard with no abstract
-    // lock, bracketed by its sequence word; mutators (and their rollback
-    // inverses) hold the word odd. Falls back to the locked read on any
-    // overlap. Reading our own prior write is covered either way — an eager
-    // write already landed in the base, and its stripe pin is ours.
+    // Unlocked path (DESIGN.md §12): read the shard with no abstract lock,
+    // bracketed by its sequence word; mutators (and their rollback inverses)
+    // hold the word pinned. Falls back to the locked read on any overlap.
+    // Reading our own prior write is covered either way — an eager write
+    // already landed in the base, and its stripe pin is ours.
     const std::size_t h = map_.hash_of(key);
     map_.prefetch_bucket(h);
     if (auto fast = lock_.try_read_unlocked(
@@ -98,6 +99,9 @@ class TxnHashMap {
     if (!map_.put(key, value)) size_.unsafe_add(1);
   }
 
+  /// The base map's structural check (quiescent use only; empty = sound).
+  std::string check_invariants() const { return map_.check_invariants(); }
+
  private:
   /// Amortize the EBR announce fence across the attempt: the first fast-path
   /// read pins this thread's reader slot in the map's domain and schedules
@@ -115,7 +119,7 @@ class TxnHashMap {
 
   AbstractLock<K, Lap> lock_;
   containers::StripedHashMap<K, V> map_;
-  ReadSeqTable seqs_;  // one word per base shard (fast read path only)
+  ReadSeqTable seqs_;  // one word per base shard (unlocked reads only)
   CommittedSize size_;
 };
 

@@ -44,7 +44,7 @@ class TxnOrderedMap {
   /// stripes (correct, just coarser there).
   TxnOrderedMap(Lap& lap, K key_min, K key_max, std::size_t stripes)
       : lock_(lap, UpdateStrategy::Eager),
-        seqs_(stripes, lap.stm().options().optimistic_reads),
+        seqs_(stripes, lock_.unlocked_reads()),
         key_min_(key_min), key_max_(key_max), stripes_(stripes) {}
 
   std::optional<V> put(stm::Txn& tx, K key, const V& value) {
@@ -67,7 +67,7 @@ class TxnOrderedMap {
   }
 
   std::optional<V> get(stm::Txn& tx, K key) {
-    // Optimistic fast path (DESIGN.md §12): the skip list's point lookup is
+    // Unlocked path (DESIGN.md §12): the skip list's point lookup is
     // internally safe against concurrent mutators, so the interval stripe's
     // sequence word alone brackets the read.
     const std::size_t s = stripe_of(key);
@@ -190,7 +190,7 @@ class TxnOrderedMap {
 
   AbstractLock<std::size_t, Lap> lock_;
   containers::ConcurrentSkipList<K, V> map_;
-  ReadSeqTable seqs_;  // one word per interval stripe (fast read path only)
+  ReadSeqTable seqs_;  // one word per interval stripe (unlocked reads only)
   CommittedSize size_;
   K key_min_;
   K key_max_;

@@ -51,7 +51,7 @@ class TxnPriorityQueue {
  public:
   explicit TxnPriorityQueue(Lap& lap)
       : lock_(lap, UpdateStrategy::Eager),
-        seqs_(1, lap.stm().options().optimistic_reads) {}
+        seqs_(1, lock_.unlocked_reads()) {}
 
   void insert(stm::Txn& tx, const T& value) {
     const std::optional<T> cur = min(tx);
@@ -74,7 +74,7 @@ class TxnPriorityQueue {
   }
 
   std::optional<T> min(stm::Txn& tx) {
-    // Optimistic fast path (DESIGN.md §12): a single sequence word brackets
+    // Unlocked path (DESIGN.md §12): a single sequence word brackets
     // the whole queue (its abstract state has one hot component — the
     // minimum). A tombstoned top cell forces the locked path, whose cleanup
     // mutates the base.
@@ -154,7 +154,7 @@ class TxnPriorityQueue {
  private:
   AbstractLock<PQueueState, Lap> lock_;
   containers::BlockingPriorityQueue<CellPtr, CellCompare> pq_;
-  ReadSeqTable seqs_;  // single word: the whole queue (fast read path only)
+  ReadSeqTable seqs_;  // single word: the whole queue (unlocked reads only)
   CommittedSize size_;
 };
 

@@ -41,12 +41,13 @@ namespace proust::stm {
 
 class CommitFence {
  public:
-  // Low 20 bits: writers in flight. High 44 bits: total entries.
+  // Low 20 bits: writers in flight. High 44 bits: total entries. The
+  // sequence words of core/read_seq.hpp share this format.
   static constexpr std::uint64_t kActiveMask = (1ull << 20) - 1;
   static constexpr std::uint64_t kEntry = (1ull << 20) | 1ull;
 
-  /// Raw fence word for optimistic read validation (DESIGN.md §12): a
-  /// fast-path reader records the word it observed quiescent and re-checks
+  /// Raw fence word for unlocked read validation (DESIGN.md §12): an
+  /// unlocked reader records the word it observed quiescent and re-checks
   /// it at admission/commit; any committed bracket since then has moved it.
   std::uint64_t word() const noexcept {
     return word_.load(std::memory_order_seq_cst);

@@ -1,7 +1,6 @@
 // Runtime policy knobs for the STM: the pause between retry attempts (§7's
-// livelock study turns on it), the optimistic read fast path, the
-// serializing fallback gate that bounds retries under pathological
-// contention, fault injection and durability.
+// livelock study turns on it), the serializing fallback gate that bounds
+// retries under pathological contention, fault injection and durability.
 #pragma once
 
 #include <chrono>
@@ -33,20 +32,6 @@ constexpr const char* to_string(CmPolicy p) noexcept {
 
 struct StmOptions {
   CmPolicy cm_policy = CmPolicy::ExponentialBackoff;
-
-  // --- Lock-free optimistic read fast path (DESIGN.md §12) -----------------
-  /// Let the Proust wrappers serve read-only operations (get/contains/peek)
-  /// without acquiring the abstract lock: the base structure is read under
-  /// its own internal synchronization (EBR guard / shard mutex) and the
-  /// result is admitted against a per-stripe sequence word that mutators
-  /// bump for the duration of their transaction (core/read_seq.hpp), or —
-  /// for the lazy wrappers — against the wrapper's commit fence. Admission
-  /// records the (word, observed) pair in the txn arena so every later
-  /// admission, timestamp extension and the commit itself revalidate it;
-  /// any instability or validation miss falls back to the locked slow path,
-  /// which preserves opacity unconditionally. Off by default — the locked
-  /// read path is then used exclusively and pays one never-taken branch.
-  bool optimistic_reads = false;
 
   /// If nonzero, an atomically() call whose *eligible* attempt count reaches
   /// this threshold re-runs under the STM's exclusive commit gate: no other

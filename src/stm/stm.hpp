@@ -226,11 +226,13 @@ inline bool Txn::unlocked_reads_valid(bool fences_entered) const noexcept {
   for (const detail::SeqReadEntry& e : arena_.seq_reads) {
     const std::uint64_t w = e.word->load(std::memory_order_acquire);
     if (w == e.observed) [[likely]] continue;
-    // One past the observed (even) value with the pin being our own: this
-    // attempt read the stripe and later mutated it. The eager mutation is
-    // guarded by the abstract lock + undo hooks, so the admitted read stays
-    // coherent with this transaction's own view.
-    if (w == e.observed + 1 && holds_seq_word(e.word)) continue;
+    // One pin past the observed (stable) value with the pin being our own:
+    // this attempt read the stripe and later mutated it. The eager mutation
+    // is guarded by the abstract lock + undo hooks, so the admitted read
+    // stays coherent with this transaction's own view.
+    if (w == e.observed + CommitFence::kEntry && holds_seq_word(e.word)) {
+      continue;
+    }
     return false;
   }
   return unlocked_fence_reads_valid(fences_entered);
@@ -255,7 +257,7 @@ inline bool Txn::unlocked_fence_reads_valid(
 
 inline bool Txn::fast_read_cut() {
   // Every admitted unlocked read must still hold before the serialization
-  // point can move to "now". A miss is permanent (the words are monotone),
+  // point can move to "now". A miss is permanent (entry counts only grow),
   // so it aborts rather than falls back.
   if (!unlocked_reads_valid(/*fences_entered=*/false)) {
     throw ConflictAbort{AbortReason::ValidationFailed};
@@ -281,13 +283,13 @@ inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
   // Inlined fast_read_cut with the dedup probe fused into the validation
   // scan — one pass over the entries instead of two. Semantics match
   // fast_read_cut exactly: a moved word without the own-pin excuse is a
-  // permanent miss (the words are monotone), so it aborts.
+  // permanent miss (entry counts only grow), so it aborts.
   std::atomic_thread_fence(std::memory_order_acquire);
   bool covered = false;
   for (const detail::SeqReadEntry& e : arena_.seq_reads) {
     const std::uint64_t w = e.word->load(std::memory_order_acquire);
     if (w != e.observed) [[unlikely]] {
-      if (!(w == e.observed + 1 && holds_seq_word(e.word))) {
+      if (!(w == e.observed + CommitFence::kEntry && holds_seq_word(e.word))) {
         throw ConflictAbort{AbortReason::ValidationFailed};
       }
     }

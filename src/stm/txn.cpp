@@ -44,7 +44,6 @@ Txn::Txn(Stm& stm)
          "arena not reset by the previous transaction");
   assert(ebr::debug_guard_depth() == 0 &&
          "EBR guard leaked into a transaction");
-  optimistic_reads_ = stm.options().optimistic_reads;
   wal_ = stm.options().durability;
   tls_current = this;
 }
@@ -148,6 +147,7 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
     if (Orec::is_locked(w)) {
       if (Orec::owner_of(w)->owner == this) {
         std::memcpy(dst, var.data_, size);
+        if (mode_ == Mode::EagerAll) revalidate_unlocked_reads();
         return;
       }
       throw ConflictAbort{AbortReason::ReadLocked};  // requester aborts
@@ -171,7 +171,11 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
       // snapshot.
       continue;
     }
-    if (mode_ != Mode::EagerAll) arena_.reads.push_back({&var, ver});
+    if (mode_ == Mode::EagerAll) {
+      revalidate_unlocked_reads();
+    } else {
+      arena_.reads.push_back({&var, ver});
+    }
     return;
   }
   throw ConflictAbort{AbortReason::ReadVersion};
@@ -199,6 +203,7 @@ void Txn::read_validate_impl(const VarBase& var) {
     } else if (snapshot_frozen_ && Orec::version_of(w) > rv_) {
       throw ConflictAbort{AbortReason::ReadVersion};
     }
+    revalidate_unlocked_reads();
     return;
   }
 
@@ -261,6 +266,7 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
       // Foreign visible readers: eager read-write conflict, yield to them.
       throw ConflictAbort{AbortReason::VisibleReader};
     }
+    revalidate_unlocked_reads();
   }
   std::memcpy(e.undo.ensure(size), var.data_, size);
   e.wrote = true;
@@ -302,6 +308,15 @@ void Txn::extend_or_abort() {
   }
   rv_ = now;
   stats_.count_extension();
+}
+
+void Txn::revalidate_unlocked_reads() {
+  if (arena_.seq_reads.empty() && arena_.fence_reads.empty()) [[likely]] {
+    return;
+  }
+  if (!unlocked_reads_valid(/*fences_entered=*/false)) {
+    throw ConflictAbort{AbortReason::ValidationFailed};
+  }
 }
 
 bool Txn::holds_seq_word(
@@ -673,7 +688,7 @@ void Txn::verify_teardown() noexcept {
   }
   for (const TxnArena::SeqHold& h : arena_.seq_holds) {
     if (h.word != nullptr) {
-      chaos_->report_leak("sequence word still odd after finish hooks");
+      chaos_->report_leak("sequence word still pinned after finish hooks");
       break;
     }
   }

@@ -16,7 +16,9 @@
 //   EagerAll   — EagerWrite plus visible readers: reads publish a bit in the
 //                var's reader bitmap, writers that find foreign readers abort
 //                themselves. All conflicts are detected at encounter time,
-//                which is the premise of Theorem 5.2.
+//                which is the premise of Theorem 5.2. Wrapper reads over the
+//                optimistic LAP skip the bit and are sequence-validated
+//                instead (the unlocked read path below).
 //
 // Hooks (the Proust integration points, §2 of the paper):
 //   on_abort         — inverse operations; run in reverse order while the
@@ -114,7 +116,7 @@ class Txn {
   /// must not also take the shared side at commit).
   void set_gate_exempt(bool exempt) noexcept { gate_exempt_ = exempt; }
 
-  // --- Optimistic read fast path (DESIGN.md §12) --------------------------
+  // --- Unlocked read path (DESIGN.md §12) --------------------------------
   // Wrappers call these through AbstractLock::try_read_unlocked: a read-only
   // operation traverses the base structure under its own synchronization
   // (no abstract lock), then *admits* the observed result against the
@@ -122,26 +124,35 @@ class Txn {
   // Admission re-anchors the transaction's serialization point: every
   // previously admitted unlocked read is revalidated, the STM read set is
   // extended if the clock moved, and the new word is re-checked — then the
-  // entry is recorded so later admissions, timestamp extensions and the
-  // commit itself re-check it. Any of these failing to *hold still* returns
-  // false (caller takes the locked slow path); a genuine validation miss of
-  // an already-admitted read aborts the attempt (the mismatch is permanent —
-  // sequence words and fence words are monotone).
+  // entry is recorded so later admissions, every later stable access that
+  // skips this path (a locked read, a raw Var read or write, a pessimistic
+  // abstract-lock acquisition), timestamp extensions and the commit itself
+  // re-check it. Any of these failing to *hold still*
+  // returns false (caller takes the locked slow path); a genuine validation
+  // miss of an already-admitted read aborts the attempt (the mismatch is
+  // permanent — a word's entry count only grows).
 
-  /// May this attempt serve reads through the unlocked fast path at all?
-  bool fast_read_eligible() const noexcept {
-    return optimistic_reads_ && !gate_exempt_;
-  }
+  /// May this attempt serve reads through the unlocked path at all? Not
+  /// while it holds the exclusive fallback gate.
+  bool fast_read_eligible() const noexcept { return !gate_exempt_; }
 
-  /// Admit an unlocked read observed while `*word` held the stable (even)
-  /// value `observed`. True = recorded; false = discard the result and take
-  /// the locked slow path. May throw ConflictAbort (permanent miss).
+  /// Admit an unlocked read observed while `*word` held the stable value
+  /// `observed`. True = recorded; false = discard the result and take the
+  /// locked slow path. May throw ConflictAbort (permanent miss).
   bool admit_unlocked_read(const std::atomic<std::uint64_t>* word,
                            std::uint64_t observed);
 
   /// As above for a lazy wrapper's CommitFence word observed quiescent.
   bool admit_unlocked_fence_read(const CommitFence* fence,
                                  std::uint64_t observed);
+
+  /// An access that went around the unlocked path (a locked wrapper read, a
+  /// raw Var read, a write, an abstract-lock acquisition) has just become
+  /// stable, so the body is about to see a value that no word brackets.
+  /// Abort with ValidationFailed unless every admitted unlocked read still
+  /// holds: otherwise the body could pair a value read before a commit with
+  /// one read after it. Free when nothing was admitted.
+  void revalidate_unlocked_reads();
 
   /// Chaos gate for the fast path: true = an injected fault forces this
   /// read onto the locked slow path (never aborts — the fallback IS the
@@ -156,7 +167,7 @@ class Txn {
   void note_fastpath_fallback() noexcept { stats_.count_fastpath_fallback(); }
 
   /// This attempt's sequence-word pins (core/read_seq.hpp appends one per
-  /// distinct stripe a mutator touches; released even by the owning table's
+  /// distinct stripe a mutator touches; released by the owning table's
   /// finish hook). Mirrors lock_holds().
   std::vector<TxnArena::SeqHold>& seq_holds() noexcept {
     return arena_.seq_holds;
@@ -300,10 +311,10 @@ class Txn {
   /// version).
   bool validate_read_set() const noexcept;
   /// Every admitted unlocked read still holds its observed word. A seq word
-  /// one past its observed value is excused when this attempt pinned it (a
-  /// read-then-mutate of the same stripe); a fence word one own-bracket
-  /// ahead is excused at commit time (`fences_entered`) when the fence is
-  /// this transaction's own.
+  /// one own pin (`observed + kEntry`) ahead is excused when this attempt
+  /// pinned it (a read-then-mutate of the same stripe); a fence word one
+  /// own bracket ahead is excused at commit time (`fences_entered`) when the
+  /// fence is this transaction's own.
   bool unlocked_reads_valid(bool fences_entered) const noexcept;
   bool unlocked_fence_reads_valid(bool fences_entered) const noexcept;
   bool chaos_fastpath_fallback_slow();
@@ -370,7 +381,6 @@ class Txn {
   bool active_ = false;
   bool snapshot_frozen_ = false;
   bool gate_exempt_ = false;
-  bool optimistic_reads_ = false;  // StmOptions::optimistic_reads, cached
   bool write_table_on_ = false;  // flat-table tier engaged this attempt
   std::uint64_t write_bloom_ = 0;
   // Durability state (dormant — wal_ == nullptr — unless the Stm was built

@@ -72,16 +72,16 @@ struct ReadEntry {
   Version version;
 };
 
-/// One admitted optimistic unlocked read against a per-stripe sequence word
-/// (core/read_seq.hpp): the word observed stable (even) around the base
-/// traversal. Revalidated at every later admission, timestamp extension and
-/// at commit; a mismatch means a mutator overlapped the read.
+/// One admitted unlocked read against a per-stripe sequence word
+/// (core/read_seq.hpp): the word observed stable around the base traversal.
+/// Revalidated at every later admission, stable EagerAll access, timestamp
+/// extension and at commit; a mismatch means a mutator overlapped the read.
 struct SeqReadEntry {
   const std::atomic<std::uint64_t>* word;
   std::uint64_t observed;
 };
 
-/// One admitted optimistic unlocked read against a lazy wrapper's
+/// One admitted unlocked read against a lazy wrapper's
 /// CommitFence: the fence word observed quiescent around the base read.
 /// Own-commit brackets are excused at commit-time validation (the fence is
 /// then listed in `commit_fences`).
@@ -116,11 +116,11 @@ struct TxnArena {
   };
 
   /// One sequence-word pin owned by the running attempt: an eager mutator
-  /// bumped `word` odd before its first base mutation of that stripe and the
-  /// owning ReadSeqTable's finish hook bumps it back even once — after
-  /// commit (mutations stay) or after the inverse abort hooks ran (state
-  /// restored). `word == nullptr` marks a released record; reset_attempt
-  /// asserts every record was released.
+  /// pinned `word` before its first base mutation of that stripe and the
+  /// owning ReadSeqTable's finish hook releases it once — after commit
+  /// (mutations stay) or after the inverse abort hooks ran (state restored).
+  /// `word == nullptr` marks a released record; reset_attempt asserts every
+  /// record was released.
   struct SeqHold {
     const void* group;  // the ReadSeqTable that owns the word
     std::atomic<std::uint64_t>* word;
@@ -144,8 +144,8 @@ struct TxnArena {
   BumpArena local_slab;
   std::vector<LockHold> lock_holds;
 
-  // Optimistic read fast path (DESIGN.md §12): admitted unlocked reads and
-  // the sequence words this attempt holds odd as a mutator.
+  // Unlocked read path (DESIGN.md §12): admitted unlocked reads and
+  // the sequence words this attempt holds pinned as a mutator.
   std::vector<detail::SeqReadEntry> seq_reads;
   std::vector<detail::FenceReadEntry> fence_reads;
   std::vector<SeqHold> seq_holds;
@@ -186,7 +186,7 @@ struct TxnArena {
     }
     assert(reader_marks.empty() && "visible-reader marks leaked");
     for (const SeqHold& h : seq_holds) {
-      assert(h.word == nullptr && "sequence word left odd past finish hooks");
+      assert(h.word == nullptr && "sequence word left pinned past finish hooks");
     }
 #endif
     reads.clear();
@@ -208,7 +208,7 @@ struct TxnArena {
     lock_holds.clear();
     seq_reads.clear();
     fence_reads.clear();
-    // Seq holds were already bumped even by the owning tables' finish hooks.
+    // Seq holds were already released by the owning tables' finish hooks.
     seq_holds.clear();
     wal_buf.clear();
     wal_records = 0;

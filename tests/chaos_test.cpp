@@ -122,6 +122,7 @@ void expect_map_equals(MapUnderTest& map, const std::map<long, long>& reference,
   if (map.committed_size() >= 0) {
     EXPECT_EQ(map.committed_size(), static_cast<long>(reference.size()));
   }
+  EXPECT_EQ(map.check_invariants(), "");
 }
 
 using Param = std::tuple<MapConfig, std::uint64_t>;

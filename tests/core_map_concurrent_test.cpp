@@ -18,6 +18,8 @@ constexpr int kThreads = 4;
 class CoreMapConcurrentTest : public ::testing::TestWithParam<MapConfig> {
  protected:
   void SetUp() override { map_ = GetParam().make(); }
+  // Every case ends with its threads joined: the base must be sound.
+  void TearDown() override { EXPECT_EQ(map_->check_invariants(), ""); }
 
   template <class Body>
   void run_threads(int n, Body&& body) {

@@ -42,6 +42,9 @@ class MapUnderTest {
   virtual void atomically_tx(
       const std::function<void(MapView&, stm::Txn&)>& body) = 0;
   virtual long committed_size() const = 0;  // -1 if unsupported
+  /// The wrapper's base-structure check at a quiescent point (empty = sound,
+  /// or no check for this configuration).
+  virtual std::string check_invariants() const = 0;
   virtual stm::StatsSnapshot stats() = 0;
   virtual stm::Stm& stm() = 0;
 
@@ -106,6 +109,13 @@ class ProustMapHandle final : public MapUnderTest {
     });
   }
   long committed_size() const override { return map_->size(); }
+  std::string check_invariants() const override {
+    if constexpr (requires { map_->check_invariants(); }) {
+      return map_->check_invariants();
+    } else {
+      return {};
+    }
+  }
   stm::StatsSnapshot stats() override { return stm_.stats().snapshot(); }
   stm::Stm& stm() override { return stm_; }
 
@@ -137,6 +147,7 @@ class BaselineMapHandle final : public MapUnderTest {
     });
   }
   long committed_size() const override { return -1; }
+  std::string check_invariants() const override { return {}; }
   stm::StatsSnapshot stats() override { return stm_.stats().snapshot(); }
   stm::Stm& stm() override { return stm_; }
 

@@ -11,6 +11,7 @@
 #include "core/lap.hpp"
 #include "core/lazy_hash_map.hpp"
 #include "core/txn_hash_map.hpp"
+#include "stm/chaos.hpp"
 #include "stm/stm.hpp"
 
 using namespace proust;
@@ -64,9 +65,15 @@ TEST(Opacity, LazyOptimisticRetriesAfterConflictingCommit) {
 
 // Theorem 5.2 mechanism on an eager-everything STM: a writer that would
 // invalidate an active reader's snapshot yields (aborts itself), so the
-// reader observes a stable value throughout its transaction.
+// reader observes a stable value throughout its transaction. The wrapper's
+// reads run unlocked on EagerAll; a FastPathRead abort probability of 1
+// sends every one down the locked path, whose CA read sets the reader bit.
 TEST(Opacity, EagerAllWriterYieldsToVisibleReader) {
-  stm::Stm stm(stm::Mode::EagerAll);
+  stm::ChaosConfig cc;
+  cc.at(stm::ChaosPoint::FastPathRead) = {.abort = 1.0, .timeout = 0,
+                                          .delay = 0};
+  stm::ChaosPolicy locked_reads(cc);
+  stm::Stm stm(stm::Mode::EagerAll, stm::StmOptions{.chaos = &locked_reads});
   core::OptimisticLap<long> lap(stm, 64);
   core::TxnHashMap<long, long, core::OptimisticLap<long>> map(lap);
   map.unsafe_put(1, 10);
@@ -102,10 +109,60 @@ TEST(Opacity, EagerAllWriterYieldsToVisibleReader) {
   // so the stable value is 10 or 99 — never a mix.)
   EXPECT_EQ(first_read, second_read) << "reader's snapshot stayed stable";
   EXPECT_EQ(stm.atomically([&](stm::Txn& tx) { return map.get(tx, 1); }), 99);
-  EXPECT_GE(stm.stats().snapshot().aborts[static_cast<std::size_t>(
+  const stm::StatsSnapshot s = stm.stats().snapshot();
+  EXPECT_GE(s.aborts[static_cast<std::size_t>(
                 stm::AbortReason::VisibleReader)],
             1u)
       << "the writer must have yielded at least once";
+  EXPECT_EQ(s.fastpath_hits, 0u) << "every read took the locked path";
+}
+
+// The same race through the wrapper's own (unlocked) read: the reader sets
+// no bit, so the writer commits at once instead of yielding, and the
+// reader's second read finds the first one's sequence word moved and aborts
+// its attempt with ValidationFailed. No attempt ever pairs 10 with 99.
+TEST(Opacity, EagerAllWrapperReadRevalidatesInsteadOfBlockingWriter) {
+  stm::Stm stm(stm::Mode::EagerAll);
+  core::OptimisticLap<long> lap(stm, 64);
+  core::TxnHashMap<long, long, core::OptimisticLap<long>> map(lap);
+  map.unsafe_put(1, 10);
+
+  std::atomic<int> stage{0};
+  int attempts = 0, mixes = 0;
+  long first_read = -1, second_read = -1;
+
+  std::thread reader([&] {
+    stm.atomically([&](stm::Txn& tx) {
+      first_read = map.get(tx, 1).value();
+      if (++attempts == 1) {
+        advance(stage, 1);
+        await(stage, 2);  // the writer has committed
+      }
+      second_read = map.get(tx, 1).value();
+      if (first_read != second_read) ++mixes;
+    });
+  });
+
+  await(stage, 1);
+  // Joined before the reader resumes: nothing makes the writer wait.
+  std::thread([&] {
+    stm.atomically([&](stm::Txn& tx) { map.put(tx, 1, 99); });
+  }).join();
+  advance(stage, 2);
+  reader.join();
+
+  EXPECT_EQ(mixes, 0) << "a read pair straddled the writer's commit";
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(first_read, 99);
+  EXPECT_EQ(second_read, 99);
+  const stm::StatsSnapshot s = stm.stats().snapshot();
+  EXPECT_EQ(s.aborts[static_cast<std::size_t>(
+                stm::AbortReason::VisibleReader)],
+            0u)
+      << "no reader bit, so the writer never yields";
+  EXPECT_EQ(s.aborts[static_cast<std::size_t>(
+                stm::AbortReason::ValidationFailed)],
+            1u);
 }
 
 // Footnote 3 / Figure 1's incompatible cell, demonstrated: eager updates

@@ -1,21 +1,27 @@
-// Differential tests for the optimistic read fast path (DESIGN.md §12):
+// Differential tests for the unlocked read path (DESIGN.md §12):
 // sequence-validated unlocked reads racing mutators across the map-config
-// matrix, read-your-writes through the admission layer, stats accounting,
-// and a chaos column that forces fallbacks at the FastPathRead injection
-// point. The invariant under test is always the same: a transaction that
-// reads a pair of keys the writers only ever update *together* must see
-// equal values — a torn fast-path read is exactly what would break it.
-// The ReadSeqTable cases at the end pin the sequence words' pin/release
-// contract that the races rely on, and that wrappers pin (and build their
-// tables) only when their Stm has the fast path on.
+// matrix, read-your-writes through the admission layer, stats accounting
+// per the rule that picks each wrapper's read path, and a chaos column that
+// forces fallbacks at the FastPathRead injection point. The invariant under
+// test is always the same: a transaction that reads a pair of keys the
+// writers only ever update *together* must see equal values — in its body
+// on every attempt (opacity), not only in the attempts that commit. Three
+// cases replay the interleavings that broke it: two pins on one stripe, a
+// locked read after an unlocked one, and a pessimistic wrapper's read after
+// an unlocked one. The ReadSeqTable cases at the end pin
+// the sequence words' pin/release contract, and that wrappers pin (and
+// build their tables) exactly on the rule's unlocked side: the optimistic
+// LAP on EagerAll.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/hashing.hpp"
 #include "core/lap.hpp"
 #include "core/read_seq.hpp"
 #include "core/txn_hash_map.hpp"
@@ -27,22 +33,37 @@
 
 using namespace proust;
 using namespace proust::testing;
+using namespace std::chrono_literals;
 
 namespace {
 
-stm::StmOptions optimistic_opts() {
-  stm::StmOptions o;
-  o.optimistic_reads = true;
-  return o;
+constexpr long kHalf = 32;
+constexpr std::uint64_t kEntry = stm::CommitFence::kEntry;
+
+/// Does `map` serve reads unlocked under the rule? Every EagerAll config in
+/// the matrix is over the optimistic LAP, and every other config is not.
+bool reads_unlocked(MapUnderTest& map) {
+  return map.stm().mode() == stm::Mode::EagerAll;
 }
 
-constexpr long kHalf = 32;
+void await(const std::atomic<int>& stage, int value) {
+  while (stage.load(std::memory_order_acquire) < value) {
+    std::this_thread::yield();
+  }
+}
+
+/// Torn pairs seen by the readers of a pair race: inside a transaction body
+/// (every attempt, committed or not) and in committed results.
+struct Tears {
+  long in_body = 0;
+  long committed = 0;
+};
 
 /// Writers update (k, k+kHalf) to the same value in one transaction;
-/// readers read both in one transaction and report any inequality.
-/// Returns the number of violations observed.
-long run_pair_race(MapUnderTest& map, int writer_rounds,
-                   int reader_threads) {
+/// readers read both in one transaction and count every inequality, inside
+/// the body and after commit.
+Tears run_pair_race(MapUnderTest& map, int writer_rounds,
+                    int reader_threads) {
   for (long k = 0; k < kHalf; ++k) {
     map.atomically([&](MapView& m) {
       m.put(k, 0);
@@ -50,7 +71,8 @@ long run_pair_race(MapUnderTest& map, int writer_rounds,
     });
   }
   std::atomic<bool> stop{false};
-  std::atomic<long> violations{0};
+  std::atomic<long> in_body{0};
+  std::atomic<long> committed{0};
   std::thread writer([&] {
     for (long round = 1; round <= writer_rounds; ++round) {
       const long k = round % kHalf;
@@ -73,34 +95,56 @@ long run_pair_race(MapUnderTest& map, int writer_rounds,
         map.atomically([&](MapView& m) {
           a = m.get(k).value_or(-1);
           b = m.get(k + kHalf).value_or(-1);
+          if (a != b) in_body.fetch_add(1, std::memory_order_relaxed);
         });
-        if (a != b) violations.fetch_add(1, std::memory_order_relaxed);
+        if (a != b) committed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   writer.join();
   for (auto& th : readers) th.join();
-  return violations.load();
+  return {in_body.load(), committed.load()};
 }
+
+/// The first key after `from` that `pred` accepts.
+template <class Pred>
+long find_key(long from, Pred&& pred) {
+  long k = from + 1;
+  while (!pred(k)) ++k;
+  return k;
+}
+
+// The hole tests' map: M=256 CA slots over a 64-stripe base, as in the
+// matrix's eager_opt_eagerall config, so keys can share a base stripe (and
+// its sequence word) while sitting on different CA slots.
+using HoleLap = core::OptimisticLap<long>;
+using HoleMap = core::TxnHashMap<long, long, HoleLap>;
+constexpr std::size_t kCaSlots = 256;
+constexpr std::size_t kStripes = 64;
+
+std::size_t stripe_of(long k) { return proust::Hash<long>{}(k) % kStripes; }
+std::size_t slot_of(long k) { return proust::Hash<long>{}(k) % kCaSlots; }
 
 }  // namespace
 
 TEST(ReadFastPath, PairConsistencyAcrossConfigs) {
   for (const auto& cfg : opaque_map_configs()) {
-    auto map = cfg.make_with(optimistic_opts());
-    EXPECT_EQ(run_pair_race(*map, /*writer_rounds=*/300, /*reader_threads=*/2),
-              0)
-        << cfg.name;
+    auto map = cfg.make();
+    const Tears t =
+        run_pair_race(*map, /*writer_rounds=*/300, /*reader_threads=*/2);
+    EXPECT_EQ(t.in_body, 0) << cfg.name;
+    EXPECT_EQ(t.committed, 0) << cfg.name;
   }
 }
 
 TEST(ReadFastPath, ReadYourWritesThroughAdmission) {
-  // The fast path must never serve a read that has a pending transactional
-  // write behind it: eager wrappers have already mutated the base (and hold
-  // the self-pinned sequence word); lazy wrappers route engaged-log reads
-  // down the locked path. Either way the transaction sees its own effects.
+  // The unlocked path must never serve a read that has a pending
+  // transactional write behind it: eager wrappers have already mutated the
+  // base (and hold the self-pinned sequence word); lazy wrappers route
+  // engaged-log reads down the locked path. Either way the transaction sees
+  // its own effects.
   for (const auto& cfg : all_map_configs()) {
-    auto map = cfg.make_with(optimistic_opts());
+    auto map = cfg.make();
     map->atomically([&](MapView& m) {
       EXPECT_EQ(m.put(7, 70), std::nullopt) << cfg.name;
       EXPECT_EQ(m.get(7), 70) << cfg.name;
@@ -115,19 +159,25 @@ TEST(ReadFastPath, ReadYourWritesThroughAdmission) {
 }
 
 TEST(ReadFastPath, StatsRecordHitsWhenEnabled) {
+  // The rule's unlocked side: reads take the unlocked path and count hits.
+  int unlocked = 0;
   for (const auto& cfg : opaque_map_configs()) {
-    if (cfg.name.rfind("baseline_", 0) == 0) continue;  // no wrapper layer
-    auto map = cfg.make_with(optimistic_opts());
+    auto map = cfg.make();
+    if (!reads_unlocked(*map)) continue;
+    ++unlocked;
     map->put1(1, 10);
     for (int i = 0; i < 16; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
     const auto s = map->stats();
     EXPECT_GT(s.fastpath_hits, 0u) << cfg.name;
   }
+  EXPECT_EQ(unlocked, 3) << "eager_opt, lazy_memo and lazy_snap on EagerAll";
 }
 
 TEST(ReadFastPath, StatsSilentWhenDisabled) {
+  // Everywhere else reads take the lock and never try the unlocked path.
   for (const auto& cfg : opaque_map_configs()) {
-    auto map = cfg.make();  // default options: optimistic_reads = false
+    auto map = cfg.make();
+    if (reads_unlocked(*map)) continue;
     map->put1(1, 10);
     for (int i = 0; i < 16; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
     const auto s = map->stats();
@@ -139,13 +189,14 @@ TEST(ReadFastPath, StatsSilentWhenDisabled) {
 TEST(ReadFastPath, ChaosForcesEveryAdmissionToFallBack) {
   // A FastPathRead abort-probability of 1 coerces every admission attempt
   // into the locked slow path — results must be unchanged and every forced
-  // fallback must be visible in the stats.
+  // fallback must be visible in the stats. Configs on the locked side never
+  // reach the injection point.
   stm::ChaosConfig cc;
   cc.seed = 42;
   cc.at(stm::ChaosPoint::FastPathRead) = {.abort = 1.0, .timeout = 0,
                                           .delay = 0};
   stm::ChaosPolicy chaos(cc);
-  stm::StmOptions o = optimistic_opts();
+  stm::StmOptions o;
   o.chaos = &chaos;
   for (const auto& cfg : opaque_map_configs()) {
     if (cfg.name.rfind("baseline_", 0) == 0) continue;
@@ -154,7 +205,11 @@ TEST(ReadFastPath, ChaosForcesEveryAdmissionToFallBack) {
     for (int i = 0; i < 8; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
     const auto s = map->stats();
     EXPECT_EQ(s.fastpath_hits, 0u) << cfg.name;
-    EXPECT_GT(s.fastpath_fallbacks, 0u) << cfg.name;
+    if (reads_unlocked(*map)) {
+      EXPECT_GT(s.fastpath_fallbacks, 0u) << cfg.name;
+    } else {
+      EXPECT_EQ(s.fastpath_fallbacks, 0u) << cfg.name;
+    }
   }
   EXPECT_EQ(chaos.leaks(), 0u) << "seed=" << chaos.seed();
 }
@@ -166,13 +221,14 @@ TEST(ReadFastPath, PairConsistencyUnderAggressiveChaos) {
     if (cfg.name.rfind("baseline_", 0) == 0) continue;
     stm::ChaosPolicy chaos(stm::ChaosConfig::aggressive(7));
     chaos.install_lock_hook();
-    stm::StmOptions o = optimistic_opts();
+    stm::StmOptions o;
     o.chaos = &chaos;
     {
       auto map = cfg.make_with(o);
-      EXPECT_EQ(
-          run_pair_race(*map, /*writer_rounds=*/150, /*reader_threads=*/2), 0)
-          << cfg.name << " seed=" << chaos.seed();
+      const Tears t =
+          run_pair_race(*map, /*writer_rounds=*/150, /*reader_threads=*/2);
+      EXPECT_EQ(t.in_body, 0) << cfg.name << " seed=" << chaos.seed();
+      EXPECT_EQ(t.committed, 0) << cfg.name << " seed=" << chaos.seed();
     }
     chaos.remove_lock_hook();
     EXPECT_EQ(chaos.leaks(), 0u) << cfg.name << " seed=" << chaos.seed();
@@ -182,9 +238,9 @@ TEST(ReadFastPath, PairConsistencyUnderAggressiveChaos) {
 TEST(ReadFastPath, OrderedMapPairConsistency) {
   // EagerAll: an eager/optimistic wrapper is opaque only on an STM that
   // detects read/write conflicts eagerly (Thm 5.2, footnote 3); on Lazy a
-  // committed reader may see a torn pair with or without the fast path.
+  // committed reader may see a torn pair with or without the unlocked path.
   using OptLap = core::OptimisticLap<std::size_t, core::StripeHasher>;
-  stm::Stm stm(stm::Mode::EagerAll, optimistic_opts());
+  stm::Stm stm(stm::Mode::EagerAll);
   OptLap lap(stm, 64);
   core::TxnOrderedMap<long, OptLap> map(lap, 0, 1023, 64);
   for (long k = 0; k < kHalf; ++k) {
@@ -194,7 +250,8 @@ TEST(ReadFastPath, OrderedMapPairConsistency) {
     });
   }
   std::atomic<bool> stop{false};
-  std::atomic<long> violations{0};
+  std::atomic<long> in_body{0};
+  std::atomic<long> committed{0};
   std::thread writer([&] {
     for (long round = 1; round <= 300; ++round) {
       const long k = round % kHalf;
@@ -215,23 +272,25 @@ TEST(ReadFastPath, OrderedMapPairConsistency) {
       stm.atomically([&](stm::Txn& tx) {
         a = map.get(tx, k).value_or(-1);
         b = map.get(tx, k + kHalf).value_or(-1);
+        if (a != b) in_body.fetch_add(1, std::memory_order_relaxed);
       });
-      if (a != b) violations.fetch_add(1, std::memory_order_relaxed);
+      if (a != b) committed.fetch_add(1, std::memory_order_relaxed);
     }
   });
   writer.join();
   reader.join();
-  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(in_body.load(), 0);
+  EXPECT_EQ(committed.load(), 0);
   EXPECT_GT(stm.stats().snapshot().fastpath_hits, 0u);
 }
 
 TEST(ReadFastPath, PQueueMinRacesChurn) {
-  // Churn keeps values inside [1, 1000] with 1000 permanently present; a
-  // fast-path min() must always see something in that window.
-  using PessLap = core::PessimisticLap<core::PQueueState>;
-  stm::Stm stm(stm::Mode::Lazy, optimistic_opts());
-  PessLap lap(stm, 8);
-  core::TxnPriorityQueue<long, PessLap> pq(lap);
+  // Churn keeps values inside [1, 1000] with 1000 permanently present; an
+  // unlocked min() must always see something in that window.
+  using PqLap = core::OptimisticLap<core::PQueueState, core::PQueueStateHasher>;
+  stm::Stm stm(stm::Mode::EagerAll);
+  PqLap lap(stm, 2);
+  core::TxnPriorityQueue<long, PqLap> pq(lap);
   pq.unsafe_insert(1000);
   std::atomic<bool> stop{false};
   std::atomic<long> violations{0};
@@ -257,11 +316,173 @@ TEST(ReadFastPath, PQueueMinRacesChurn) {
   writer.join();
   reader.join();
   EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(stm.stats().snapshot().fastpath_hits, 0u);
+}
+
+TEST(ReadFastPath, TwoPinsOnOneStripeKeepItUnstable) {
+  // Two writers on different CA slots of one base stripe pin its word
+  // together and stay in flight; a reader of one writer's key must not
+  // return the uncommitted value. With one parity bit the two pins read
+  // even and the reader admitted, and committed, the writer's 99; both
+  // writers then roll back.
+  stm::Stm stm(stm::Mode::EagerAll);
+  HoleLap lap(stm, kCaSlots);
+  HoleMap map(lap, kStripes);
+  const long k1 = 1;
+  const long k2 = find_key(k1, [&](long k) {
+    return stripe_of(k) == stripe_of(k1) && slot_of(k) != slot_of(k1);
+  });
+  map.unsafe_put(k1, 1);
+  map.unsafe_put(k2, 2);
+
+  std::atomic<int> in_flight{0};
+  std::atomic<bool> reader_done{false};
+  struct Bail {};
+  const auto writer = [&](long key) {
+    bool counted = false;
+    EXPECT_THROW(stm.atomically([&](stm::Txn& tx) {
+                   map.put(tx, key, 99);
+                   if (!counted) {
+                     counted = true;
+                     in_flight.fetch_add(1, std::memory_order_acq_rel);
+                   }
+                   const auto deadline = std::chrono::steady_clock::now() + 200ms;
+                   while (!reader_done.load(std::memory_order_acquire) &&
+                          std::chrono::steady_clock::now() < deadline) {
+                     std::this_thread::yield();
+                   }
+                   throw Bail{};
+                 }),
+                 Bail);
+  };
+  std::thread w1(writer, k1);
+  std::thread w2(writer, k2);
+  await(in_flight, 2);
+  const long seen = stm.atomically(
+      [&](stm::Txn& tx) { return map.get(tx, k1).value_or(-1); });
+  reader_done.store(true, std::memory_order_release);
+  w1.join();
+  w2.join();
+  EXPECT_EQ(seen, 1) << "the reader returned a value no transaction committed";
+  EXPECT_EQ(stm.atomically([&](stm::Txn& tx) { return map.get(tx, k1); }), 1);
+  EXPECT_EQ(stm.atomically([&](stm::Txn& tx) { return map.get(tx, k2); }), 2);
+  EXPECT_EQ(map.check_invariants(), "");
+}
+
+TEST(ReadFastPath, LockedReadRevalidatesEarlierUnlockedReads) {
+  // An attempt reads `a` unlocked; then a transaction commits a:=1, b:=1,
+  // and a third holds a put of `c` (b's stripe, another CA slot) in flight,
+  // so the attempt's read of `b` falls back to the locked path. That read
+  // must revalidate `a` before the body sees `b`: without it the body saw
+  // a=0, b=1 on the first attempt, and only the commit's validation
+  // rejected it.
+  stm::Stm stm(stm::Mode::EagerAll);
+  HoleLap lap(stm, kCaSlots);
+  HoleMap map(lap, kStripes);
+  const long a = 1;
+  const long b = find_key(a, [&](long k) {
+    return stripe_of(k) != stripe_of(a) && slot_of(k) != slot_of(a);
+  });
+  const long c = find_key(b, [&](long k) {
+    return stripe_of(k) == stripe_of(b) && slot_of(k) != slot_of(b) &&
+           slot_of(k) != slot_of(a);
+  });
+  map.unsafe_put(a, 0);
+  map.unsafe_put(b, 0);
+
+  std::atomic<int> stage{0};
+  std::atomic<bool> reader_done{false};
+  long attempts = 0, mixes = 0;
+  std::thread reader([&] {
+    stm.atomically([&](stm::Txn& tx) {
+      const long va = map.get(tx, a).value_or(-1);
+      if (++attempts == 1) {
+        stage.store(1, std::memory_order_release);
+        await(stage, 3);  // a and b committed, c's put in flight
+      }
+      const long vb = map.get(tx, b).value_or(-1);
+      if (va != vb) ++mixes;
+    });
+    reader_done.store(true, std::memory_order_release);
+  });
+  await(stage, 1);
+  stm.atomically([&](stm::Txn& tx) {
+    map.put(tx, a, 1);
+    map.put(tx, b, 1);
+  });
+  struct Bail {};
+  std::thread holder([&] {
+    bool signalled = false;
+    EXPECT_THROW(stm.atomically([&](stm::Txn& tx) {
+                   map.put(tx, c, 7);
+                   if (!signalled) {
+                     signalled = true;
+                     stage.store(2, std::memory_order_release);
+                   }
+                   const auto deadline = std::chrono::steady_clock::now() + 200ms;
+                   while (!reader_done.load(std::memory_order_acquire) &&
+                          std::chrono::steady_clock::now() < deadline) {
+                     std::this_thread::yield();
+                   }
+                   throw Bail{};
+                 }),
+                 Bail);
+  });
+  await(stage, 2);
+  stage.store(3, std::memory_order_release);
+  reader.join();
+  holder.join();
+  EXPECT_EQ(mixes, 0) << "the body saw a != b in some attempt";
+  EXPECT_GE(attempts, 2);
+  EXPECT_GE(stm.stats().snapshot().aborts[static_cast<std::size_t>(
+                stm::AbortReason::ValidationFailed)],
+            1u);
+  EXPECT_EQ(map.check_invariants(), "");
+}
+
+TEST(ReadFastPath, PessimisticReadRevalidatesEarlierUnlockedReads) {
+  // One EagerAll transaction reads a map over the optimistic LAP (unlocked)
+  // and then a map over the pessimistic LAP (through its abstract read
+  // lock, which touches no STM location). A transaction that commits a:=1
+  // in the first and b:=1 in the second between the two reads must not
+  // leave the body with a=0, b=1: the abstract-lock acquisition
+  // revalidates the unlocked read before the second map is read.
+  using PessLap = core::PessimisticLap<long>;
+  stm::Stm stm(stm::Mode::EagerAll);
+  HoleLap opt_lap(stm, kCaSlots);
+  PessLap pess_lap(stm, kStripes);
+  HoleMap a(opt_lap, kStripes);
+  core::TxnHashMap<long, long, PessLap> b(pess_lap, kStripes);
+  a.unsafe_put(1, 0);
+  b.unsafe_put(1, 0);
+
+  std::atomic<int> stage{0};
+  long attempts = 0, mixes = 0;
+  std::thread reader([&] {
+    stm.atomically([&](stm::Txn& tx) {
+      const long va = a.get(tx, 1).value_or(-1);
+      if (++attempts == 1) {
+        stage.store(1, std::memory_order_release);
+        await(stage, 2);  // both maps committed
+      }
+      const long vb = b.get(tx, 1).value_or(-1);
+      if (va != vb) ++mixes;
+    });
+  });
+  await(stage, 1);
+  stm.atomically([&](stm::Txn& tx) {
+    a.put(tx, 1, 1);
+    b.put(tx, 1, 1);
+  });
+  stage.store(2, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mixes, 0) << "the body saw a != b in some attempt";
+  EXPECT_EQ(attempts, 2);
 }
 
 // --- ReadSeqTable pin/release contract ---------------------------------------
-// A mutator pins a stripe's word odd at most once per attempt, and the
-// table's finish hook bumps it back even on every outcome.
+// A mutator pins a stripe's word at most once per attempt (one entry, one
+// active pinner), and the table's finish hook releases it on every outcome.
 
 TEST(ReadSeqTable, RepinIsANoOpAndCommitReleases) {
   core::ReadSeqTable table(8);
@@ -271,10 +492,11 @@ TEST(ReadSeqTable, RepinIsANoOpAndCommitReleases) {
   stm.atomically([&](stm::Txn& tx) {
     table.writer_pin(tx, 3);
     table.writer_pin(tx, 3);
-    EXPECT_EQ(table.load(3), 1u);  // pinned once: 0 -> 1, not 2
+    EXPECT_EQ(table.load(3), kEntry);  // pinned once, not twice
+    EXPECT_FALSE(core::ReadSeqTable::stable(table.load(3)));
     EXPECT_EQ(table.load(4), 0u);
   });
-  EXPECT_EQ(table.load(3), 2u);
+  EXPECT_EQ(table.load(3), kEntry - 1);  // one entry, no active pinner
   EXPECT_TRUE(core::ReadSeqTable::stable(table.load(3)));
   EXPECT_EQ(table.load(4), 0u);
 }
@@ -288,7 +510,7 @@ TEST(ReadSeqTable, UserExceptionAbortReleases) {
                  throw Bail{};
                }),
                Bail);
-  EXPECT_EQ(table.load(1), 2u);
+  EXPECT_EQ(table.load(1), kEntry - 1);
 }
 
 TEST(ReadSeqTable, ConflictRetryReleasesBeforeRepinning) {
@@ -302,28 +524,32 @@ TEST(ReadSeqTable, ConflictRetryReleasesBeforeRepinning) {
     seen.push_back(table.load(1));
     if (++attempts == 1) tx.retry(stm::AbortReason::ValidationFailed);
   });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(table.load(1), 4u);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, kEntry, kEntry - 1,
+                                              2 * kEntry - 1}));
+  EXPECT_EQ(table.load(1), 2 * kEntry - 2);
 }
 
-TEST(ReadSeqTable, WrappersPinOnlyWithOptimisticReads) {
-  // Nothing reads the sequence words unless the wrapper's Stm has the fast
-  // path on, so by default a mutation pins nothing and the tables are
-  // never built; with the option on, every eager wrapper pins as before.
+TEST(ReadSeqTable, WrappersPinExactlyOnTheUnlockedSide) {
+  // Nothing reads the sequence words unless the wrapper's reads run
+  // unlocked, which the rule grants the optimistic LAP on EagerAll only:
+  // there every eager wrapper pins; on Lazy, and over the pessimistic LAP
+  // in any mode, a mutation pins nothing and no table is built.
   using MapLap = core::OptimisticLap<long>;
   using StripeLap = core::OptimisticLap<std::size_t, core::StripeHasher>;
-  using PqLap = core::PessimisticLap<core::PQueueState>;
-  for (const bool optimistic : {false, true}) {
-    SCOPED_TRACE(optimistic ? "optimistic_reads" : "defaults");
-    stm::StmOptions opts;
-    opts.optimistic_reads = optimistic;
-    stm::Stm stm(stm::Mode::EagerAll, opts);
+  using PqOptLap =
+      core::OptimisticLap<core::PQueueState, core::PQueueStateHasher>;
+  using PqPessLap = core::PessimisticLap<core::PQueueState>;
+  for (const stm::Mode mode : {stm::Mode::Lazy, stm::Mode::EagerAll}) {
+    SCOPED_TRACE(stm::to_string(mode));
+    stm::Stm stm(mode);
     MapLap map_lap(stm, 64);
     StripeLap stripe_lap(stm, 64);
-    PqLap pq_lap(stm, 8);
+    PqOptLap pq_opt_lap(stm, 2);
+    PqPessLap pq_pess_lap(stm, 8);
     core::TxnHashMap<long, long, MapLap> map(map_lap, 16);
     core::TxnOrderedMap<long, StripeLap> ordered(stripe_lap, 0, 1023, 16);
-    core::TxnPriorityQueue<long, PqLap> pq(pq_lap);
+    core::TxnPriorityQueue<long, PqOptLap> pq_opt(pq_opt_lap);
+    core::TxnPriorityQueue<long, PqPessLap> pq_pess(pq_pess_lap);
     std::vector<std::size_t> holds;  // seq_holds() after each mutation
     stm.atomically([&](stm::Txn& tx) {
       holds.clear();
@@ -335,14 +561,19 @@ TEST(ReadSeqTable, WrappersPinOnlyWithOptimisticReads) {
       holds.push_back(tx.seq_holds().size());
       (void)ordered.remove(tx, 5);
       holds.push_back(tx.seq_holds().size());
-      pq.insert(tx, 7);
+      pq_opt.insert(tx, 7);
       holds.push_back(tx.seq_holds().size());
-      (void)pq.remove_min(tx);
+      (void)pq_opt.remove_min(tx);
+      holds.push_back(tx.seq_holds().size());
+      pq_pess.insert(tx, 7);
+      holds.push_back(tx.seq_holds().size());
+      (void)pq_pess.remove_min(tx);
       holds.push_back(tx.seq_holds().size());
     });
     const std::vector<std::size_t> expected =
-        optimistic ? std::vector<std::size_t>{1, 1, 2, 2, 3, 3}
-                   : std::vector<std::size_t>(6, 0);
+        mode == stm::Mode::EagerAll
+            ? std::vector<std::size_t>{1, 1, 2, 2, 3, 3, 3, 3}
+            : std::vector<std::size_t>(8, 0);
     EXPECT_EQ(holds, expected);
   }
 }

@@ -209,15 +209,15 @@ TEST(ZeroAllocProust, LazyMapSteadyStateAllocatesNothing) {
 }
 
 TEST(ZeroAllocProust, ZeroAllocReadPath) {
-  // The optimistic read fast path with heap-heavy keys. The old
-  // initializer-list admission built a LockFor<K> per call — for string
-  // keys beyond SSO that was one heap allocation per get/contains; the
-  // by-ref overloads plus the unlocked fast path must be allocation-free
-  // end to end, and the reads must actually take the fast path.
-  Stm stm(Mode::Lazy, StmOptions{.optimistic_reads = true});
-  proust::core::PessimisticLap<std::string> lap(stm, 64);
+  // The unlocked read path (the optimistic LAP on EagerAll) with heap-heavy
+  // keys. The old initializer-list admission built a LockFor<K> per call —
+  // for string keys beyond SSO that was one heap allocation per
+  // get/contains; the by-ref overloads plus the unlocked path must be
+  // allocation-free end to end, and the reads must actually run unlocked.
+  Stm stm(Mode::EagerAll);
+  proust::core::OptimisticLap<std::string> lap(stm, 64);
   proust::core::TxnHashMap<std::string, long,
-                           proust::core::PessimisticLap<std::string>>
+                           proust::core::OptimisticLap<std::string>>
       map(lap);
   std::vector<std::string> keys;
   for (int k = 0; k < 4; ++k) {
@@ -239,7 +239,7 @@ TEST(ZeroAllocProust, ZeroAllocReadPath) {
   EXPECT_EQ(n, 0u);
   EXPECT_GT(sink, 0);
   EXPECT_GT(stm.stats().snapshot().fastpath_hits, 0u)
-      << "reads never took the unlocked fast path";
+      << "reads never took the unlocked path";
 }
 
 TEST(ZeroAllocProust, LazyPessimisticCombiningAllocatesNothing) {
