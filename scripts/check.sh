@@ -25,21 +25,28 @@ echo "== chaos: deterministic fault-injection suites =="
 # failure prints the reproducing seed; replay with
 #   PROUST_CHAOS_SEED=<seed> ./build/tests/chaos_test --gtest_filter=...
 ctest --test-dir build --output-on-failure -L chaos
+# The label again, up to 50 passes, stopping at the first failure: the
+# injected delays reorder real threads differently on every pass.
+ctest --test-dir build --output-on-failure -L chaos --repeat until-fail:50
 
 echo "== cm: contention-management suites =="
 # Attempt histogram, the fallback gate's eligibility and attempt bound,
 # watchdog, and the fallback-gate chaos matrix (same seed-replay contract).
 ctest --test-dir build --output-on-failure -L cm
+# Up to 50 passes, stopping at the first failure: the gate handoff and the
+# watchdog's stall detection race running transactions.
+ctest --test-dir build --output-on-failure -L cm --repeat until-fail:50
 
 echo "== ebr: epoch reclamation =="
 # The EBR grace-period protocol + skip-list churn and reclamation.
 ctest --test-dir build --output-on-failure -L ebr
 
 echo "== fastpath: unlocked read path =="
-# Differential races of sequence-validated unlocked readers (the optimistic
-# LAP on EagerAll) against mutators across the map-config matrix, torn
-# pairs counted in the body and after commit, the chaos column that forces
-# every admission to fall back to the locked path, and the replays of the
+# Differential races of sequence-validated unlocked readers (eager wrappers
+# over the optimistic LAP on EagerAll; lazy wrappers read through their
+# lock) against mutators across the map-config matrix, torn pairs counted
+# in the body and after commit, the chaos column that forces every
+# admission to fall back to the locked path, and the replays of the
 # two-pin and locked-after-unlocked interleavings (DESIGN.md §12).
 ctest --test-dir build --output-on-failure -L fastpath
 # The label again, up to 200 passes, stopping at the first failure: a torn
@@ -113,9 +120,10 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_stress_test
 # Chaos under TSan: injected delays/aborts/timeouts shuffle the interleavings
 # the sanitizer observes. A subset keeps the run inside the time budget;
 # eager_opt_eagerall is the configuration both perfbench workloads run, with
-# its reads unlocked.
+# its reads unlocked, and the lazy wrappers on EagerAll take visible-reader
+# CA reads.
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/chaos_test \
-  --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:*eager_opt_eagerall*:ChaosDeterminismTest.*'
+  --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:*eager_opt_eagerall*:*lazy_*_eagerall*:ChaosDeterminismTest.*'
 # Contention management under TSan: the fallback gate's shared/exclusive
 # handoff and the watchdog's stats snapshots race running transactions; the
 # cm label runs the whole surface (unit + chaos matrix).

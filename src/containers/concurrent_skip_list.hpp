@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "common/ebr.hpp"
@@ -264,6 +265,66 @@ class ConcurrentSkipList {
 
   std::size_t size() const { return size_.load(std::memory_order_acquire); }
   bool empty() const { return size() == 0; }
+
+  /// Structural check for quiescent use (no concurrent operation), run in
+  /// every build. After the plankton Skiplist2 invariants, adapted to
+  /// chains that end in nullptr rather than a tail sentinel: the head is
+  /// the one is_head node, fully linked and never marked; every level's
+  /// chain is strictly ascending under Compare; a node reached on level L
+  /// has top_level >= L; the level L+1 chain is a subsequence of the level
+  /// L chain; every reachable node is fully linked and unmarked; and the
+  /// level-0 chain holds size() nodes. Returns the first violation as text,
+  /// empty when the list is sound.
+  std::string check_invariants() const {
+    constexpr auto kAcq = std::memory_order_acquire;
+    if (!head_->is_head) return "head: not flagged as the head";
+    if (!head_->fully_linked.load(kAcq)) return "head: not fully linked";
+    if (head_->marked.load(kAcq)) return "head: marked";
+    Compare less{};
+    std::size_t linked = 0;
+    // Per-level walks first: an ascending chain cannot cycle, so the
+    // subsequence walks below terminate.
+    for (int level = 0; level < kMaxLevel; ++level) {
+      const Node* prev = nullptr;
+      std::size_t i = 0;
+      for (const Node* n = head_->next[level].load(kAcq); n != nullptr;
+           prev = n, n = n->next[level].load(kAcq), ++i) {
+        const auto at = [&] {
+          return "level " + std::to_string(level) + " node " +
+                 std::to_string(i) + ": ";
+        };
+        if (n->is_head) return at() + "the head is linked again";
+        if (n->top_level < level) {
+          return at() + "top_level " + std::to_string(n->top_level) +
+                 " is below the level it is linked on";
+        }
+        if (n->marked.load(kAcq)) return at() + "marked but still linked";
+        if (!n->fully_linked.load(kAcq)) return at() + "not fully linked";
+        if (prev != nullptr && !less(prev->key, n->key)) {
+          return at() + "key not above its predecessor's";
+        }
+        if (level == 0) ++linked;
+      }
+    }
+    for (int level = 0; level + 1 < kMaxLevel; ++level) {
+      const Node* below = head_->next[level].load(kAcq);
+      for (const Node* n = head_->next[level + 1].load(kAcq); n != nullptr;
+           n = n->next[level + 1].load(kAcq)) {
+        while (below != nullptr && below != n) {
+          below = below->next[level].load(kAcq);
+        }
+        if (below == nullptr) {
+          return "level " + std::to_string(level + 1) +
+                 ": a node is missing from level " + std::to_string(level);
+        }
+      }
+    }
+    if (linked != size()) {
+      return "size() is " + std::to_string(size()) + " but level 0 links " +
+             std::to_string(linked) + " nodes";
+    }
+    return {};
+  }
 
   /// Reclamation observability (tests/monitoring): nodes retired by
   /// remove(), nodes already freed, and the difference still in limbo.

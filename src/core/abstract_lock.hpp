@@ -15,10 +15,11 @@
 // The choice of optimistic vs pessimistic conflict resolution stays with the
 // LockAllocatorPolicy passed at construction, exactly as in the paper.
 //
-// Read-only operations take one of two paths, fixed at construction: when
-// the LAP's locked read would publish a visible-reader mark (OptimisticLap
-// on Mode::EagerAll) they run unlocked and sequence-validated
-// (try_read_unlocked, DESIGN.md §12); everywhere else they take the lock.
+// Read-only operations take one of two paths, fixed at construction: an
+// eager wrapper whose LAP's locked read would publish a visible-reader mark
+// (OptimisticLap on Mode::EagerAll) runs them unlocked and validated by its
+// ReadSeqTable (try_read_unlocked, DESIGN.md §12); every other wrapper,
+// lazy ones included, takes the lock.
 #pragma once
 
 #include <atomic>
@@ -42,10 +43,10 @@ template <class Key, LockAllocatorPolicy<Key> Lap>
 class AbstractLock {
  public:
   AbstractLock(Lap& lap, UpdateStrategy strategy) noexcept
-      : lap_(&lap), strategy_(strategy), unlocked_reads_(lap.reads_visible()) {}
-
-  UpdateStrategy strategy() const noexcept { return strategy_; }
-  Lap& lap() noexcept { return *lap_; }
+      : lap_(&lap),
+        strategy_(strategy),
+        unlocked_reads_(strategy == UpdateStrategy::Eager &&
+                        lap.reads_visible()) {}
 
   /// Do read-only operations take the unlocked path? Eager wrappers build
   /// their ReadSeqTable, and their mutators pin it, only when this holds.
@@ -65,23 +66,11 @@ class AbstractLock {
   auto apply(stm::Txn& tx, std::initializer_list<LockFor<Key>> locks, F&& op,
              Inv&& inverse) {
     for (const LockFor<Key>& l : locks) lap_->acquire(tx, l.key, l.write);
-
-    using R = std::invoke_result_t<F&>;
-    if constexpr (std::is_void_v<R>) {
-      op();
-      if constexpr (!std::is_same_v<std::decay_t<Inv>, NoInverse>) {
-        tx.on_abort([inv = std::forward<Inv>(inverse)]() { inv(); });
-      }
-      read_after(tx, locks);
-    } else {
-      R result = op();
-      if constexpr (!std::is_same_v<std::decay_t<Inv>, NoInverse>) {
-        tx.on_abort(
-            [inv = std::forward<Inv>(inverse), result]() { inv(result); });
-      }
-      read_after(tx, locks);
-      return result;
-    }
+    const auto read_after = [&] {
+      for (const LockFor<Key>& l : locks) lap_->post_op(tx, l.key, l.write);
+    };
+    return apply_locked(tx, std::forward<F>(op), std::forward<Inv>(inverse),
+                        read_after);
   }
 
   /// Single-lock apply, key by const reference. The initializer-list form
@@ -96,37 +85,21 @@ class AbstractLock {
   template <class F, class Inv>
   auto apply(stm::Txn& tx, const Key& key, bool write, F&& op, Inv&& inverse) {
     lap_->acquire(tx, key, write);
-
-    using R = std::invoke_result_t<F&>;
-    if constexpr (std::is_void_v<R>) {
-      op();
-      if constexpr (!std::is_same_v<std::decay_t<Inv>, NoInverse>) {
-        tx.on_abort([inv = std::forward<Inv>(inverse)]() { inv(); });
-      }
-      if (strategy_ == UpdateStrategy::Lazy) lap_->post_op(tx, key, write);
-    } else {
-      R result = op();
-      if constexpr (!std::is_same_v<std::decay_t<Inv>, NoInverse>) {
-        tx.on_abort(
-            [inv = std::forward<Inv>(inverse), result]() { inv(result); });
-      }
-      if (strategy_ == UpdateStrategy::Lazy) lap_->post_op(tx, key, write);
-      return result;
-    }
+    return apply_locked(tx, std::forward<F>(op), std::forward<Inv>(inverse),
+                        [&] { lap_->post_op(tx, key, write); });
   }
 
   // --- Unlocked read path (DESIGN.md §12) --------------------------------
   // Run a read-only operation against the base with NO abstract lock: load
-  // the bracketing word, require it stable, run `op` (which must rely only
-  // on the base's internal synchronization), then hand the observed word to
-  // the transaction for admission. Engaged optional = the result is as good
-  // as a locked read (the admission recorded it for commit revalidation);
-  // nullopt = discard the result and take the locked slow path, which is
-  // also the only path when unlocked_reads() is false. Aborts propagate (a
-  // previously admitted read failed revalidation).
-
-  /// Eager wrappers: bracketed by a ReadSeqTable stripe word that mutators
-  /// pin across mutation + rollback (null when the table was not built).
+  // the bracketing word (the ReadSeqTable stripe word that mutators pin
+  // across mutation + rollback; null when the table was not built), require
+  // it stable, run `op` (which must rely only on the base's internal
+  // synchronization), then hand the observed word to the transaction for
+  // admission. Engaged optional = the result is as good as a locked read
+  // (the admission recorded it for commit revalidation); nullopt = discard
+  // the result and take the locked slow path, which is also the only path
+  // when unlocked_reads() is false. Aborts propagate (a previously admitted
+  // read failed revalidation).
   template <class F>
   auto try_read_unlocked(stm::Txn& tx,
                          const std::atomic<std::uint64_t>* word, F&& op)
@@ -150,40 +123,35 @@ class AbstractLock {
     return result;
   }
 
-  /// Lazy wrappers: the base only changes inside commit-fence brackets
-  /// (replay application), so a quiescent-and-unmoved fence word brackets
-  /// the read. Callers must additionally hold no engaged replay log for
-  /// this structure (read-your-writes goes through the log).
-  template <class F>
-  auto try_read_unlocked(stm::Txn& tx, const stm::CommitFence& fence, F&& op)
-      -> std::optional<std::invoke_result_t<F&>> {
-    if (!unlocked_reads_ || !tx.fast_read_eligible()) return std::nullopt;
-    if (tx.chaos_fastpath_fallback()) [[unlikely]] {
-      tx.note_fastpath_fallback();
-      return std::nullopt;
-    }
-    const std::uint64_t s0 = fence.word();
-    if (!stm::CommitFence::quiescent(s0)) {
-      tx.note_fastpath_fallback();
-      return std::nullopt;
-    }
-    auto result = op();
-    if (!tx.admit_unlocked_fence_read(&fence, s0)) {
-      tx.note_fastpath_fallback();
-      return std::nullopt;
-    }
-    return result;
-  }
-
  private:
-  void read_after(stm::Txn& tx, std::initializer_list<LockFor<Key>> locks) {
-    if (strategy_ != UpdateStrategy::Lazy) return;
-    for (const LockFor<Key>& l : locks) lap_->post_op(tx, l.key, l.write);
+  /// Steps 2-4 of the file comment, with the locks held: run `op`, register
+  /// `inverse` (unless NoInverse) and, under the lazy strategy, run
+  /// `read_after` (the locks' post_op read-backs).
+  template <class F, class Inv, class ReadAfter>
+  auto apply_locked(stm::Txn& tx, F&& op, Inv&& inverse,
+                    const ReadAfter& read_after) {
+    constexpr bool kInverse = !std::is_same_v<std::decay_t<Inv>, NoInverse>;
+    using R = std::invoke_result_t<F&>;
+    if constexpr (std::is_void_v<R>) {
+      op();
+      if constexpr (kInverse) {
+        tx.on_abort([inv = std::forward<Inv>(inverse)]() { inv(); });
+      }
+      if (strategy_ == UpdateStrategy::Lazy) read_after();
+    } else {
+      R result = op();
+      if constexpr (kInverse) {
+        tx.on_abort(
+            [inv = std::forward<Inv>(inverse), result]() { inv(result); });
+      }
+      if (strategy_ == UpdateStrategy::Lazy) read_after();
+      return result;
+    }
   }
 
   Lap* lap_;
   UpdateStrategy strategy_;
-  bool unlocked_reads_;  // lap.reads_visible(), cached at construction
+  bool unlocked_reads_;  // eager strategy and lap.reads_visible()
 };
 
 }  // namespace proust::core

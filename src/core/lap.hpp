@@ -85,7 +85,8 @@ class OptimisticLap {
   }
 
   /// On EagerAll a CA read sets the slot's reader bit, which makes every
-  /// writer of the slot yield; wrappers then read unlocked (DESIGN.md §12).
+  /// writer of the slot yield; eager wrappers then read unlocked (DESIGN.md
+  /// §12).
   bool reads_visible() const noexcept {
     return stm_->mode() == stm::Mode::EagerAll;
   }

@@ -38,16 +38,6 @@ class LazyHashMap {
   }
 
   std::optional<V> get(stm::Txn& tx, const K& key) {
-    // Unlocked path (DESIGN.md §12): with no log engaged, the base
-    // only changes inside replay fence brackets, so a quiescent-and-unmoved
-    // fence word brackets an unlocked read. An engaged log means pending
-    // writes (read-your-writes must go through the shadow) — locked path.
-    if (!handle_.engaged(tx)) {
-      if (auto fast = lock_.try_read_unlocked(
-              tx, fence_, [&] { return map_.get(key); })) {
-        return *fast;
-      }
-    }
     return lock_.apply(tx, key, /*write=*/false, [&]() -> std::optional<V> {
       // readOnly optimization: no log yet means the backing map is still
       // this transaction's consistent view.
@@ -57,12 +47,6 @@ class LazyHashMap {
   }
 
   bool contains(stm::Txn& tx, const K& key) {
-    if (!handle_.engaged(tx)) {
-      if (auto fast = lock_.try_read_unlocked(
-              tx, fence_, [&] { return map_.contains(key); })) {
-        return *fast;
-      }
-    }
     return lock_.apply(tx, key, /*write=*/false, [&] {
       if (!handle_.engaged(tx)) return map_.contains(key);
       return log(tx).contains(key);
@@ -89,14 +73,13 @@ class LazyHashMap {
  private:
   Log& log(stm::Txn& tx) {
     return handle_.log(
-        tx, [this, &tx] { return Log(map_, fence_, combine_, tx.scratch()); });
+        tx, [this, &tx] { return Log(map_, combine_, tx.scratch()); });
   }
 
   AbstractLock<K, Lap> lock_;
   TxnLogHandle<Log> handle_;
   bool combine_;
   Base map_;
-  stm::CommitFence fence_;  // brackets replays; fast-path read validation
   CommittedSize size_;
 };
 

@@ -41,15 +41,6 @@ class LazyPriorityQueue {
   }
 
   std::optional<T> min(stm::Txn& tx) {
-    // Unlocked path (DESIGN.md §12): the heap only changes inside
-    // replay fence brackets, so with no log engaged a quiescent-and-unmoved
-    // fence word brackets an unlocked peek of the shared heap.
-    if (!handle_.engaged(tx)) {
-      if (auto fast = lock_.try_read_unlocked(
-              tx, fence_, [&] { return heap_.peek_min(); })) {
-        return *fast;
-      }
-    }
     return lock_.apply(tx, {Read(PQueueState::Min)}, [&] {
       return read_only(tx, [](const auto& t) { return t.peek_min(); });
     });

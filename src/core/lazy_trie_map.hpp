@@ -37,27 +37,12 @@ class LazyTrieMap {
   }
 
   std::optional<V> get(stm::Txn& tx, const K& key) {
-    // Unlocked path (DESIGN.md §12): the trie only changes inside
-    // replay fence brackets, so with no log engaged a quiescent-and-unmoved
-    // fence word brackets an unlocked point read of the shared trie.
-    if (!handle_.engaged(tx)) {
-      if (auto fast = lock_.try_read_unlocked(
-              tx, fence_, [&] { return map_.get(key); })) {
-        return *fast;
-      }
-    }
     return lock_.apply(tx, key, /*write=*/false, [&] {
       return read_only(tx, [&](const auto& t) { return t.get(key); });
     });
   }
 
   bool contains(stm::Txn& tx, const K& key) {
-    if (!handle_.engaged(tx)) {
-      if (auto fast = lock_.try_read_unlocked(
-              tx, fence_, [&] { return map_.contains(key); })) {
-        return *fast;
-      }
-    }
     return lock_.apply(tx, key, /*write=*/false, [&] {
       return read_only(tx, [&](const auto& t) { return t.contains(key); });
     });

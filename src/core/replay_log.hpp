@@ -26,7 +26,11 @@
 // Snapshot logs coordinate with concurrent commits through the owning
 // wrapper's CommitFence: a snapshot must not observe a base that is missing
 // a logically-committed, not-yet-replayed commit, nor half of a replay in
-// flight (see stm/commit_fence.hpp for the hazard).
+// flight (see stm/commit_fence.hpp for the hazard). Memo logs need no fence:
+// a memo line reads the base one key at a time, under that key's abstract
+// lock, whose acquisition already proves that every commit serialized
+// before this transaction has replayed that key (OptimisticLap::acquire's
+// validated read; PessimisticLap holds its locks past the replay).
 #pragma once
 
 #include <optional>
@@ -197,10 +201,8 @@ class SnapshotMapReplayLog {
 template <class Base, class K, class V>
 class MemoReplayLog {
  public:
-  MemoReplayLog(Base& base, stm::CommitFence& fence, bool combine,
-                BumpArena& scratch)
-      : base_(&base), fence_(&fence), combine_(combine), cache_(scratch),
-        ops_(scratch) {}
+  MemoReplayLog(Base& base, bool combine, BumpArena& scratch)
+      : base_(&base), combine_(combine), cache_(scratch), ops_(scratch) {}
 
   std::optional<V> get(const K& key) { return line_for(key).value; }
 
@@ -224,16 +226,10 @@ class MemoReplayLog {
     return old;
   }
 
-  stm::CommitFence& fence() noexcept { return *fence_; }
-
   /// Commit-time application. With combining, one synthetic update per dirty
   /// key (final state only); without, the full operation sequence — the cost
   /// difference is what the Figure 4 bottom block measures.
   void replay() noexcept {
-    // Bracketed like the snapshot logs': memo replays also land after the
-    // logical commit, and the optimistic read fast path (DESIGN.md §12)
-    // detects in-flight or completed replays through this fence word.
-    stm::CommitFence::Guard guard(*fence_);
     if (combine_) {
       cache_.for_each([this](const K& key, Line& line) {
         if (!line.dirty) return;
@@ -284,7 +280,6 @@ class MemoReplayLog {
   }
 
   Base* base_;
-  stm::CommitFence* fence_;
   bool combine_;
   ArenaFlatMap<K, Line> cache_;
   ArenaChunkList<Op> ops_;
@@ -320,15 +315,6 @@ class TxnLogHandle {
       }
     }
     return l;
-  }
-
-  /// The readOnly optimization of Figure 2b: if this transaction has not
-  /// touched the wrapper yet, run `f` directly against `base` (no log, no
-  /// snapshot); otherwise run it against the established shadow.
-  template <class Base, class Make, class F>
-  auto read_only(stm::Txn& tx, Base& base, Make&& make, F&& f) {
-    if (!tx.has_local(this)) return f(base);
-    return f(log(tx, std::forward<Make>(make)).shadow());
   }
 
   bool engaged(const stm::Txn& tx) const { return tx.has_local(this); }

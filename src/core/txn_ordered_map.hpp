@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "containers/concurrent_skip_list.hpp"
@@ -159,6 +160,10 @@ class TxnOrderedMap {
   }
 
   std::size_t stripes() const noexcept { return stripes_; }
+
+  /// The base skip list's structural check (quiescent use only; empty =
+  /// sound).
+  std::string check_invariants() const { return map_.check_invariants(); }
 
  private:
   /// Amortize the EBR announce fence across the attempt (see

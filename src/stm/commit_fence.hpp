@@ -46,9 +46,8 @@ class CommitFence {
   static constexpr std::uint64_t kActiveMask = (1ull << 20) - 1;
   static constexpr std::uint64_t kEntry = (1ull << 20) | 1ull;
 
-  /// Raw fence word for unlocked read validation (DESIGN.md §12): an
-  /// unlocked reader records the word it observed quiescent and re-checks
-  /// it at admission/commit; any committed bracket since then has moved it.
+  /// Raw fence word, for a reader that brackets a multi-step read itself
+  /// (the checkpointer's consistent cut): quiescent before, unchanged after.
   std::uint64_t word() const noexcept {
     return word_.load(std::memory_order_seq_cst);
   }

@@ -212,13 +212,12 @@ class Stm {
 
 // ---------------------------------------------------------------------------
 // Fast-path admission, inline. These run once per unlocked read; defining
-// them here (below Stm, whose clock the cut consults) keeps the per-lookup
-// cost to the loads themselves instead of a cross-TU call and its spills.
-// The cold edges — extension, the own-pin / own-fence excuses, chaos — stay
-// out of line in txn.cpp.
+// them in the header keeps the per-lookup cost to the loads themselves
+// instead of a cross-TU call and its spills. The cold edges — the own-pin
+// excuse's hold lookup, chaos — stay out of line in txn.cpp.
 // ---------------------------------------------------------------------------
 
-inline bool Txn::unlocked_reads_valid(bool fences_entered) const noexcept {
+inline bool Txn::unlocked_reads_valid() const noexcept {
   // LoadLoad barrier: order the caller's preceding base-structure reads
   // (and any data reads since the last validation) before the word
   // re-loads — the seqlock reader-side recipe.
@@ -235,55 +234,20 @@ inline bool Txn::unlocked_reads_valid(bool fences_entered) const noexcept {
     }
     return false;
   }
-  return unlocked_fence_reads_valid(fences_entered);
-}
-
-inline bool Txn::unlocked_fence_reads_valid(
-    bool fences_entered) const noexcept {
-  for (const detail::FenceReadEntry& e : arena_.fence_reads) {
-    const std::uint64_t w = e.fence->word();
-    if (w == e.observed) [[likely]] continue;
-    // At commit time this transaction has entered its own registered
-    // fences; exactly one own open bracket on top of the observed
-    // quiescent word is not a foreign replay.
-    if (fences_entered && w == e.observed + CommitFence::kEntry &&
-        owns_fence(e.fence)) {
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-inline bool Txn::fast_read_cut() {
-  // Every admitted unlocked read must still hold before the serialization
-  // point can move to "now". A miss is permanent (entry counts only grow),
-  // so it aborts rather than falls back.
-  if (!unlocked_reads_valid(/*fences_entered=*/false)) {
-    throw ConflictAbort{AbortReason::ValidationFailed};
-  }
-  // Unlocked reads carry no version, so admitting one is only sound at a
-  // cut where the *entire* read set is current. An unmoved clock proves no
-  // writer committed since rv_; otherwise the read set forces a full
-  // extension.
-  if (!arena_.reads.empty() && stm_.clock_now() != rv_) [[unlikely]] {
-    if (snapshot_frozen_) return false;  // cannot extend; use the slow path
-    extend_or_abort();
-  }
   return true;
 }
 
 inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
                                      std::uint64_t observed) {
   assert(active_);
-  if (arena_.seq_reads.size() + arena_.fence_reads.size() >=
-      kMaxUnlockedReads) {
-    return false;
-  }
-  // Inlined fast_read_cut with the dedup probe fused into the validation
-  // scan — one pass over the entries instead of two. Semantics match
-  // fast_read_cut exactly: a moved word without the own-pin excuse is a
-  // permanent miss (entry counts only grow), so it aborts.
+  // Only eager wrappers over the optimistic LAP on EagerAll read unlocked,
+  // and EagerAll never appends to the STM read set: an admitted read needs
+  // no clock cut, only the words below.
+  assert(mode_ == Mode::EagerAll && arena_.reads.empty());
+  if (arena_.seq_reads.size() >= kMaxUnlockedReads) return false;
+  // Revalidate every admitted read, with the dedup probe fused into the
+  // scan. A moved word without the own-pin excuse is a permanent miss
+  // (entry counts only grow), so it aborts.
   std::atomic_thread_fence(std::memory_order_acquire);
   bool covered = false;
   for (const detail::SeqReadEntry& e : arena_.seq_reads) {
@@ -295,41 +259,10 @@ inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
     }
     covered |= (e.word == word);
   }
-  if (!arena_.fence_reads.empty() &&
-      !unlocked_fence_reads_valid(/*fences_entered=*/false)) [[unlikely]] {
-    throw ConflictAbort{AbortReason::ValidationFailed};
-  }
-  // See fast_read_cut: a non-empty STM read set forces proof of a current
-  // cut (unmoved clock) or a full extension.
-  if (!arena_.reads.empty() && stm_.clock_now() != rv_) [[unlikely]] {
-    if (snapshot_frozen_) return false;  // cannot extend; use the slow path
-    extend_or_abort();
-  }
-  // Re-check after the cut: the extension may have admitted a clock that a
-  // mutator of this very stripe advanced.
+  // The seqlock's closing check: the word must not have moved across the
+  // traversal.
   if (word->load(std::memory_order_acquire) != observed) return false;
   if (!covered) arena_.seq_reads.push_back({word, observed});
-  stats_.count_fastpath_hit();
-  return true;
-}
-
-inline bool Txn::admit_unlocked_fence_read(const CommitFence* fence,
-                                           std::uint64_t observed) {
-  assert(active_);
-  assert(CommitFence::quiescent(observed));
-  if (arena_.seq_reads.size() + arena_.fence_reads.size() >=
-      kMaxUnlockedReads) {
-    return false;
-  }
-  if (!fast_read_cut()) return false;
-  if (fence->word() != observed) return false;
-  for (const detail::FenceReadEntry& e : arena_.fence_reads) {
-    if (e.fence == fence) {
-      stats_.count_fastpath_hit();
-      return true;
-    }
-  }
-  arena_.fence_reads.push_back({fence, observed});
   stats_.count_fastpath_hit();
   return true;
 }

@@ -303,7 +303,7 @@ void Txn::extend_or_abort() {
   // new rv only if their words never moved (sequence words are not
   // versioned, so "unchanged since admission" is the only claim we can
   // extend).
-  if (!unlocked_reads_valid(/*fences_entered=*/false)) [[unlikely]] {
+  if (!unlocked_reads_valid()) [[unlikely]] {
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
   rv_ = now;
@@ -311,10 +311,8 @@ void Txn::extend_or_abort() {
 }
 
 void Txn::revalidate_unlocked_reads() {
-  if (arena_.seq_reads.empty() && arena_.fence_reads.empty()) [[likely]] {
-    return;
-  }
-  if (!unlocked_reads_valid(/*fences_entered=*/false)) {
+  if (arena_.seq_reads.empty()) [[likely]] return;
+  if (!unlocked_reads_valid()) {
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
 }
@@ -327,17 +325,10 @@ bool Txn::holds_seq_word(
   return false;
 }
 
-bool Txn::owns_fence(const CommitFence* fence) const noexcept {
-  for (const CommitFence* f : arena_.commit_fences) {
-    if (f == fence) return true;
-  }
-  return false;
-}
-
-// unlocked_reads_valid / fast_read_cut / admit_unlocked_read /
-// admit_unlocked_fence_read are defined inline at the bottom of stm.hpp:
-// they run once per fast-path read, and an out-of-line call per lookup
-// (plus the spills it forces) costs more than the admission logic itself.
+// unlocked_reads_valid / admit_unlocked_read are defined inline at the
+// bottom of stm.hpp: they run once per fast-path read, and an out-of-line
+// call per lookup (plus the spills it forces) costs more than the admission
+// logic itself.
 
 bool Txn::chaos_fastpath_fallback_slow() {
   const ChaosAction a = chaos_->decide(ChaosPoint::FastPathRead);
@@ -408,11 +399,8 @@ void Txn::commit() {
   // must happen inside the commit-fence bracket below.
   if (arena_.writes.empty() && arena_.commit_locked_hooks.empty() &&
       arena_.wal_buf.empty()) {
-    if (!arena_.seq_reads.empty() || !arena_.fence_reads.empty())
-        [[unlikely]] {
-      if (!unlocked_reads_valid(/*fences_entered=*/false)) {
-        throw ConflictAbort{AbortReason::ValidationFailed};
-      }
+    if (!arena_.seq_reads.empty() && !unlocked_reads_valid()) [[unlikely]] {
+      throw ConflictAbort{AbortReason::ValidationFailed};
     }
     clear_reader_marks();
     active_ = false;
@@ -469,16 +457,11 @@ void Txn::commit() {
     if (need_validation && !validate_read_set()) {
       throw ConflictAbort{AbortReason::ValidationFailed};
     }
-    // Admitted unlocked reads are validated unconditionally — the
-    // `rv_ + 1 == wv` shortcut proves no *versioned* writer overlapped, but
-    // sequence words are also bumped by pessimistic mutators that never
-    // tick the clock. Own commit fences are entered by now, so exactly one
-    // own bracket over the observed word is excused.
-    if (!arena_.seq_reads.empty() || !arena_.fence_reads.empty())
-        [[unlikely]] {
-      if (!unlocked_reads_valid(/*fences_entered=*/true)) {
-        throw ConflictAbort{AbortReason::ValidationFailed};
-      }
+    // Admitted unlocked reads are validated unconditionally: they carry no
+    // version, so neither the read-set check above nor its `rv_ + 1 == wv`
+    // shortcut speaks for them.
+    if (!arena_.seq_reads.empty() && !unlocked_reads_valid()) [[unlikely]] {
+      throw ConflictAbort{AbortReason::ValidationFailed};
     }
   } catch (...) {
     if (wal_fenced) [[unlikely]] wal_->checkpoint_fence().exit();

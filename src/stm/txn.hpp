@@ -16,9 +16,9 @@
 //   EagerAll   — EagerWrite plus visible readers: reads publish a bit in the
 //                var's reader bitmap, writers that find foreign readers abort
 //                themselves. All conflicts are detected at encounter time,
-//                which is the premise of Theorem 5.2. Wrapper reads over the
-//                optimistic LAP skip the bit and are sequence-validated
-//                instead (the unlocked read path below).
+//                which is the premise of Theorem 5.2. Eager wrappers'
+//                reads over the optimistic LAP skip the bit and are
+//                sequence-validated instead (the unlocked read path below).
 //
 // Hooks (the Proust integration points, §2 of the paper):
 //   on_abort         — inverse operations; run in reverse order while the
@@ -68,7 +68,6 @@ class Txn {
   Stm& stm() noexcept { return stm_; }
   Mode mode() const noexcept { return mode_; }
   unsigned slot() const noexcept { return slot_; }
-  Version read_version() const noexcept { return rv_; }
   unsigned attempt() const noexcept { return attempt_; }
   /// Attempts aborted for a reason the retry policy may act on. Injected
   /// chaos aborts (AbortReason::ChaosInjected) are excluded, so fault-
@@ -110,7 +109,6 @@ class Txn {
   /// MY SNAPSHOT", and extension (or EagerAll's version-free reads) would
   /// otherwise accept commits that postdate the shadow.
   void freeze_snapshot() noexcept { snapshot_frozen_ = true; }
-  bool snapshot_frozen() const noexcept { return snapshot_frozen_; }
 
   /// Set while this transaction holds the STM's exclusive fallback gate (it
   /// must not also take the shared side at commit).
@@ -118,19 +116,17 @@ class Txn {
 
   // --- Unlocked read path (DESIGN.md §12) --------------------------------
   // Wrappers call these through AbstractLock::try_read_unlocked: a read-only
-  // operation traverses the base structure under its own synchronization
-  // (no abstract lock), then *admits* the observed result against the
-  // sequence word (or commit fence) it saw stable around the traversal.
-  // Admission re-anchors the transaction's serialization point: every
-  // previously admitted unlocked read is revalidated, the STM read set is
-  // extended if the clock moved, and the new word is re-checked — then the
-  // entry is recorded so later admissions, every later stable access that
-  // skips this path (a locked read, a raw Var read or write, a pessimistic
-  // abstract-lock acquisition), timestamp extensions and the commit itself
-  // re-check it. Any of these failing to *hold still*
-  // returns false (caller takes the locked slow path); a genuine validation
-  // miss of an already-admitted read aborts the attempt (the mismatch is
-  // permanent — a word's entry count only grows).
+  // operation of an eager wrapper traverses the base structure under its
+  // own synchronization (no abstract lock), then *admits* the observed
+  // result against the sequence word it saw stable around the traversal.
+  // Admission revalidates every previously admitted unlocked read and
+  // re-checks the new word — then records the entry so later admissions,
+  // every later stable access that skips this path (a locked read, a raw
+  // Var read or write, a pessimistic abstract-lock acquisition), timestamp
+  // extensions and the commit itself re-check it. A new word that failed to
+  // *hold still* returns false (caller takes the locked slow path); a
+  // genuine validation miss of an already-admitted read aborts the attempt
+  // (the mismatch is permanent — a word's entry count only grows).
 
   /// May this attempt serve reads through the unlocked path at all? Not
   /// while it holds the exclusive fallback gate.
@@ -138,13 +134,11 @@ class Txn {
 
   /// Admit an unlocked read observed while `*word` held the stable value
   /// `observed`. True = recorded; false = discard the result and take the
-  /// locked slow path. May throw ConflictAbort (permanent miss).
+  /// locked slow path. May throw ConflictAbort (permanent miss). Runs only
+  /// on EagerAll, whose STM read set is always empty, so no clock cut is
+  /// needed.
   bool admit_unlocked_read(const std::atomic<std::uint64_t>* word,
                            std::uint64_t observed);
-
-  /// As above for a lazy wrapper's CommitFence word observed quiescent.
-  bool admit_unlocked_fence_read(const CommitFence* fence,
-                                 std::uint64_t observed);
 
   /// An access that went around the unlocked path (a locked wrapper read, a
   /// raw Var read, a write, an abstract-lock acquisition) has just become
@@ -310,20 +304,12 @@ class Txn {
   /// read time (or is locked by this transaction with that displaced
   /// version).
   bool validate_read_set() const noexcept;
-  /// Every admitted unlocked read still holds its observed word. A seq word
+  /// Every admitted unlocked read still holds its observed word. A word
   /// one own pin (`observed + kEntry`) ahead is excused when this attempt
-  /// pinned it (a read-then-mutate of the same stripe); a fence word one
-  /// own bracket ahead is excused at commit time (`fences_entered`) when the
-  /// fence is this transaction's own.
-  bool unlocked_reads_valid(bool fences_entered) const noexcept;
-  bool unlocked_fence_reads_valid(bool fences_entered) const noexcept;
+  /// pinned it (a read-then-mutate of the same stripe).
+  bool unlocked_reads_valid() const noexcept;
   bool chaos_fastpath_fallback_slow();
-  /// Admission helper: revalidate all admitted unlocked reads and extend the
-  /// STM read set to "now" if needed. False = the cut cannot move (frozen
-  /// snapshot); throws on a genuine validation miss.
-  bool fast_read_cut();
   bool holds_seq_word(const std::atomic<std::uint64_t>* word) const noexcept;
-  bool owns_fence(const CommitFence* fence) const noexcept;
   /// EagerWrite/Lazy timestamp extension on a too-new read.
   void extend_or_abort();
   void run_commit_locked_hooks() noexcept;

@@ -81,15 +81,6 @@ struct SeqReadEntry {
   std::uint64_t observed;
 };
 
-/// One admitted unlocked read against a lazy wrapper's
-/// CommitFence: the fence word observed quiescent around the base read.
-/// Own-commit brackets are excused at commit-time validation (the fence is
-/// then listed in `commit_fences`).
-struct FenceReadEntry {
-  const CommitFence* fence;
-  std::uint64_t observed;
-};
-
 }  // namespace detail
 
 struct TxnArena {
@@ -147,7 +138,6 @@ struct TxnArena {
   // Unlocked read path (DESIGN.md §12): admitted unlocked reads and
   // the sequence words this attempt holds pinned as a mutator.
   std::vector<detail::SeqReadEntry> seq_reads;
-  std::vector<detail::FenceReadEntry> fence_reads;
   std::vector<SeqHold> seq_holds;
 
   // Durability (DESIGN.md §14): redo records staged by Txn::wal_log (and
@@ -162,7 +152,6 @@ struct TxnArena {
     reader_marks.reserve(16);
     lock_holds.reserve(8);
     seq_reads.reserve(16);
-    fence_reads.reserve(8);
     seq_holds.reserve(8);
   }
 
@@ -207,7 +196,6 @@ struct TxnArena {
     // (which run before this reset); drop the records, keep the capacity.
     lock_holds.clear();
     seq_reads.clear();
-    fence_reads.clear();
     // Seq holds were already released by the owning tables' finish hooks.
     seq_holds.clear();
     wal_buf.clear();

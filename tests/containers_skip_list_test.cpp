@@ -116,6 +116,7 @@ TEST(ConcurrentSkipList, ConcurrentDisjointInserts) {
   });
   EXPECT_TRUE(sorted);
   EXPECT_EQ(count, long{kThreads} * kPerThread);
+  EXPECT_EQ(m.check_invariants(), "");
 }
 
 TEST(ConcurrentSkipList, ConcurrentPutRemoveSameKeysConverge) {
@@ -143,6 +144,7 @@ TEST(ConcurrentSkipList, ConcurrentPutRemoveSameKeysConverge) {
   long count = 0;
   m.range_for_each(0, 63, [&](long, long) { ++count; });
   EXPECT_EQ(count, net.load());
+  EXPECT_EQ(m.check_invariants(), "");
 }
 
 TEST(ConcurrentSkipList, ConcurrentReadersDuringUpdates) {
@@ -173,4 +175,5 @@ TEST(ConcurrentSkipList, ConcurrentReadersDuringUpdates) {
   writer.join();
   reader.join();
   EXPECT_EQ(anomalies.load(), 0);
+  EXPECT_EQ(m.check_invariants(), "");
 }

@@ -188,6 +188,7 @@ TEST(TxnOrderedMap, ConcurrentTransfersPreserveRangeSum) {
   const long total = f.stm.atomically(
       [&](stm::Txn& tx) { return f.map.range_sum(tx, 0, kKeys - 1); });
   EXPECT_EQ(total, kKeys * kInitial);
+  EXPECT_EQ(f.map.check_invariants(), "");
 }
 
 TEST(TxnOrderedMap, PopFirstDrainsInKeyOrder) {
@@ -246,6 +247,7 @@ TEST(TxnOrderedMap, ConcurrentPopFirstsClaimDistinctKeys) {
   }
   EXPECT_EQ(all.size(), count) << "a key was claimed twice";
   EXPECT_EQ(static_cast<long>(count) + f.map.size(), kN);
+  EXPECT_EQ(f.map.check_invariants(), "");
 }
 
 TEST(TxnOrderedMap, PessimisticLapVariantWorks) {
@@ -278,4 +280,5 @@ TEST(TxnOrderedMap, PessimisticLapVariantWorks) {
   const long total =
       stm.atomically([&](stm::Txn& tx) { return map.range_sum(tx, 0, 63); });
   EXPECT_EQ(total, 64);
+  EXPECT_EQ(map.check_invariants(), "");
 }

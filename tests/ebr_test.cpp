@@ -196,6 +196,7 @@ TEST(SkipListEbrTest, ChurnReclaimsRemovedNodes) {
     }
   }
   EXPECT_EQ(list.size(), present);
+  EXPECT_EQ(list.check_invariants(), "");
 }
 
 TEST(SkipListEbrTest, RemoveWhileReadersTraverse) {
@@ -227,4 +228,5 @@ TEST(SkipListEbrTest, RemoveWhileReadersTraverse) {
   reader.join();
   list.quiesce();
   EXPECT_EQ(list.reclaim_pending(), 0u);
+  EXPECT_EQ(list.check_invariants(), "");
 }

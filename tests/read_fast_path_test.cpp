@@ -10,14 +10,15 @@
 // locked read after an unlocked one, and a pessimistic wrapper's read after
 // an unlocked one. The ReadSeqTable cases at the end pin
 // the sequence words' pin/release contract, and that wrappers pin (and
-// build their tables) exactly on the rule's unlocked side: the optimistic
-// LAP on EagerAll.
+// build their tables) exactly on the rule's unlocked side: eager wrappers
+// over the optimistic LAP on EagerAll.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,10 +41,19 @@ namespace {
 constexpr long kHalf = 32;
 constexpr std::uint64_t kEntry = stm::CommitFence::kEntry;
 
-/// Does `map` serve reads unlocked under the rule? Every EagerAll config in
-/// the matrix is over the optimistic LAP, and every other config is not.
-bool reads_unlocked(MapUnderTest& map) {
-  return map.stm().mode() == stm::Mode::EagerAll;
+/// Does `cfg` serve reads unlocked under the rule? Only an eager wrapper on
+/// EagerAll does: every EagerAll config in the matrix is over the optimistic
+/// LAP, and lazy wrappers read through their lock in every mode.
+bool reads_unlocked(const MapConfig& cfg, MapUnderTest& map) {
+  return cfg.name.rfind("eager_", 0) == 0 &&
+         map.stm().mode() == stm::Mode::EagerAll;
+}
+
+/// The lazy wrappers on EagerAll: their LAP's locked read is visible, yet
+/// they take the lock. Counted so the tests below prove they ran.
+bool lazy_on_eagerall(const MapConfig& cfg, MapUnderTest& map) {
+  return cfg.name.rfind("lazy_", 0) == 0 &&
+         map.stm().mode() == stm::Mode::EagerAll;
 }
 
 void await(const std::atomic<int>& stage, int value) {
@@ -160,37 +170,41 @@ TEST(ReadFastPath, ReadYourWritesThroughAdmission) {
 
 TEST(ReadFastPath, StatsRecordHitsWhenEnabled) {
   // The rule's unlocked side: reads take the unlocked path and count hits.
-  int unlocked = 0;
+  // Collect every config that records one rather than trusting
+  // reads_unlocked(): across the matrix it must be the eager map on
+  // EagerAll alone.
+  std::vector<std::string> hits;
   for (const auto& cfg : opaque_map_configs()) {
     auto map = cfg.make();
-    if (!reads_unlocked(*map)) continue;
-    ++unlocked;
     map->put1(1, 10);
     for (int i = 0; i < 16; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
-    const auto s = map->stats();
-    EXPECT_GT(s.fastpath_hits, 0u) << cfg.name;
+    if (map->stats().fastpath_hits > 0) hits.push_back(cfg.name);
   }
-  EXPECT_EQ(unlocked, 3) << "eager_opt, lazy_memo and lazy_snap on EagerAll";
+  EXPECT_EQ(hits, std::vector<std::string>{"eager_opt_eagerall"});
 }
 
 TEST(ReadFastPath, StatsSilentWhenDisabled) {
-  // Everywhere else reads take the lock and never try the unlocked path.
+  // Everywhere else reads take the lock and never try the unlocked path,
+  // the lazy wrappers on EagerAll included.
+  int lazy_eagerall = 0;
   for (const auto& cfg : opaque_map_configs()) {
     auto map = cfg.make();
-    if (reads_unlocked(*map)) continue;
+    if (reads_unlocked(cfg, *map)) continue;
+    if (lazy_on_eagerall(cfg, *map)) ++lazy_eagerall;
     map->put1(1, 10);
     for (int i = 0; i < 16; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
     const auto s = map->stats();
     EXPECT_EQ(s.fastpath_hits, 0u) << cfg.name;
     EXPECT_EQ(s.fastpath_fallbacks, 0u) << cfg.name;
   }
+  EXPECT_EQ(lazy_eagerall, 2) << "lazy_memo_eagerall and lazy_snap_eagerall";
 }
 
 TEST(ReadFastPath, ChaosForcesEveryAdmissionToFallBack) {
   // A FastPathRead abort-probability of 1 coerces every admission attempt
   // into the locked slow path — results must be unchanged and every forced
-  // fallback must be visible in the stats. Configs on the locked side never
-  // reach the injection point.
+  // fallback must be visible in the stats. Configs on the locked side, the
+  // lazy wrappers on EagerAll included, never reach the injection point.
   stm::ChaosConfig cc;
   cc.seed = 42;
   cc.at(stm::ChaosPoint::FastPathRead) = {.abort = 1.0, .timeout = 0,
@@ -198,19 +212,22 @@ TEST(ReadFastPath, ChaosForcesEveryAdmissionToFallBack) {
   stm::ChaosPolicy chaos(cc);
   stm::StmOptions o;
   o.chaos = &chaos;
+  int lazy_eagerall = 0;
   for (const auto& cfg : opaque_map_configs()) {
     if (cfg.name.rfind("baseline_", 0) == 0) continue;
     auto map = cfg.make_with(o);
+    if (lazy_on_eagerall(cfg, *map)) ++lazy_eagerall;
     map->put1(1, 10);
     for (int i = 0; i < 8; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
     const auto s = map->stats();
     EXPECT_EQ(s.fastpath_hits, 0u) << cfg.name;
-    if (reads_unlocked(*map)) {
+    if (reads_unlocked(cfg, *map)) {
       EXPECT_GT(s.fastpath_fallbacks, 0u) << cfg.name;
     } else {
       EXPECT_EQ(s.fastpath_fallbacks, 0u) << cfg.name;
     }
   }
+  EXPECT_EQ(lazy_eagerall, 2) << "lazy_memo_eagerall and lazy_snap_eagerall";
   EXPECT_EQ(chaos.leaks(), 0u) << "seed=" << chaos.seed();
 }
 

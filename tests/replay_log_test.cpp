@@ -19,8 +19,7 @@ TEST(MemoReplayLog, GetReadsThroughToBase) {
   Base base;
   base.put(1, 10);
   BumpArena arena;
-  stm::CommitFence fence;
-  core::MemoReplayLog<Base, long, long> log(base, fence, false, arena);
+  core::MemoReplayLog<Base, long, long> log(base, false, arena);
   EXPECT_EQ(log.get(1), 10);
   EXPECT_EQ(log.get(2), std::nullopt);
 }
@@ -29,8 +28,7 @@ TEST(MemoReplayLog, PendingUpdatesShadowBase) {
   Base base;
   base.put(1, 10);
   BumpArena arena;
-  stm::CommitFence fence;
-  core::MemoReplayLog<Base, long, long> log(base, fence, false, arena);
+  core::MemoReplayLog<Base, long, long> log(base, false, arena);
   EXPECT_EQ(log.put(1, 11), 10);
   EXPECT_EQ(log.get(1), 11);
   EXPECT_EQ(base.get(1), 10) << "base untouched before replay";
@@ -42,8 +40,7 @@ TEST(MemoReplayLog, PendingUpdatesShadowBase) {
 TEST(MemoReplayLog, ReplayAppliesOpsInOrder) {
   Base base;
   BumpArena arena;
-  stm::CommitFence fence;
-  core::MemoReplayLog<Base, long, long> log(base, fence, false, arena);
+  core::MemoReplayLog<Base, long, long> log(base, false, arena);
   log.put(1, 1);
   log.put(1, 2);
   log.remove(1);
@@ -59,8 +56,7 @@ TEST(MemoReplayLog, CombiningReplaysOnlyFinalStates) {
   Base base;
   base.put(5, 50);
   BumpArena arena;
-  stm::CommitFence fence;
-  core::MemoReplayLog<Base, long, long> log(base, fence, true, arena);
+  core::MemoReplayLog<Base, long, long> log(base, true, arena);
   log.put(1, 1);
   log.put(1, 2);
   log.put(1, 3);
@@ -80,9 +76,8 @@ TEST(MemoReplayLog, CombiningAndSequentialAgree) {
     base2.put(k, k);
   }
   BumpArena arena;
-  stm::CommitFence fence1, fence2;
-  core::MemoReplayLog<Base, long, long> seq(base1, fence1, false, arena);
-  core::MemoReplayLog<Base, long, long> comb(base2, fence2, true, arena);
+  core::MemoReplayLog<Base, long, long> seq(base1, false, arena);
+  core::MemoReplayLog<Base, long, long> comb(base2, true, arena);
   for (int i = 0; i < 100; ++i) {
     const long k = (i * 7) % 8;
     if (i % 3 == 0) {
