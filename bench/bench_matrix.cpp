@@ -21,6 +21,7 @@
 // Axis flags take comma-separated lists; `--ops` is the total work of one
 // run, split across the threads (the paper's fixed-work method).
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,6 +31,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -615,18 +617,25 @@ void run_counter_grid(Ctx& c, std::vector<Cell> cells, double decr,
 // ready and waits (bounded) for the others before committing, so all
 // transactions overlap. The bound keeps the handshake abort-tolerant: if a
 // peer aborted before announcing, the thread proceeds after the deadline,
-// and retries skip the handshake (the overlap already happened).
+// and retries skip the handshake (the overlap already happened). The
+// threads live for the whole cell; a barrier starts each trial.
 // ---------------------------------------------------------------------------
 
 template <class Adapter>
 stm::StatsSnapshot lock_step(Adapter& a, int threads, long trials, int o,
                              long stride) {
   a.stm()->stats().reset();
-  for (long trial = 0; trial < trials; ++trial) {
-    std::atomic<int> ready{0};
-    std::vector<std::thread> peers;
-    for (int t = 0; t < threads; ++t) {
-      peers.emplace_back([&, t] {
+  // Announcements over all trials: every thread announces once per trial,
+  // and the barrier holds trial k+1 until all of trial k has committed, so
+  // trial k is fully announced at (k + 1) * threads.
+  std::atomic<long> ready{0};
+  std::barrier trial_start(threads);
+  std::vector<std::thread> peers;
+  for (int t = 0; t < threads; ++t) {
+    peers.emplace_back([&, t] {
+      for (long trial = 0; trial < trials; ++trial) {
+        trial_start.arrive_and_wait();
+        const long all_ready = (trial + 1) * threads;
         bool first_attempt = true;
         a.txn([&](auto& view) {
           for (int i = 0; i < o; ++i) {
@@ -643,16 +652,16 @@ stm::StatsSnapshot lock_step(Adapter& a, int threads, long trials, int o,
             ready.fetch_add(1, std::memory_order_acq_rel);
             const auto deadline =
                 std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-            while (ready.load(std::memory_order_acquire) < threads &&
+            while (ready.load(std::memory_order_acquire) < all_ready &&
                    std::chrono::steady_clock::now() < deadline) {
               std::this_thread::yield();
             }
           }
         });
-      });
-    }
-    for (std::thread& p : peers) p.join();
+      }
+    });
   }
+  for (std::thread& p : peers) p.join();
   return a.stm()->stats().snapshot();
 }
 
@@ -894,9 +903,12 @@ void preset_combining(Ctx& c) {
 
 /// Figure 1: every wrapper strategy × LAP × STM mode on one workload. The
 /// eager/optimistic rows on Lazy and EagerWrite are the non-opaque
-/// combination (footnote 3), run for the same reason the paper did.
+/// combination (footnote 3), run for the same reason the paper did. Cells
+/// take 0.5-20 ms, where one run can stray several times from the median,
+/// so each reports the fastest of 10 runs, as combining does.
 void preset_design_space(Ctx& c) {
-  MapGrid g = map_grid(c, 20000, 1, 2);
+  MapGrid g = map_grid(c, 20000, 1, 10);
+  g.use_min = c.use_min(true);
   g.threads = c.longs("threads", {4});
   g.os = c.longs("o", {8});
   g.modes = c.modes({Mode::Lazy, Mode::EagerWrite, Mode::EagerAll});

@@ -112,8 +112,8 @@ static void BM_LazyTrieMapPut(benchmark::State& state) {
 BENCHMARK(BM_LazyTrieMapPut);
 
 // Transactional lookups through the two read paths of one wrapper
-// (DESIGN.md §12): over the optimistic LAP on EagerAll they run unlocked and
-// sequence-validated; on Lazy each takes a validated CA read.
+// (DESIGN.md §12): over the optimistic LAP on EagerAll they run unlocked, as
+// guarded reads of their CA slot; on Lazy each takes a validated CA read.
 template <stm::Mode M>
 static void BM_TxnHashMapGet(benchmark::State& state) {
   stm::Stm stm(M);

@@ -42,12 +42,13 @@ echo "== ebr: epoch reclamation =="
 ctest --test-dir build --output-on-failure -L ebr
 
 echo "== fastpath: unlocked read path =="
-# Differential races of sequence-validated unlocked readers (eager wrappers
-# over the optimistic LAP on EagerAll; lazy wrappers read through their
-# lock) against mutators across the map-config matrix, torn pairs counted
-# in the body and after commit, the chaos column that forces every
-# admission to fall back to the locked path, and the replays of the
-# two-pin and locked-after-unlocked interleavings (DESIGN.md §12).
+# Differential races of guarded wrapper reads (eager wrappers over the
+# optimistic LAP on EagerAll, validated against their CA slot's orec; lazy
+# wrappers read through their lock) against mutators across the map-config
+# matrix, with and without chaos, torn pairs counted in the body and after
+# commit, and the replays of the two-writer, locked-after-unlocked,
+# pessimistic-after-unlocked and rolled-back-write interleavings
+# (DESIGN.md §12).
 ctest --test-dir build --output-on-failure -L fastpath
 # The label again, up to 200 passes, stopping at the first failure: a torn
 # pair between a locked read and a racing replay shows in a small share of
@@ -103,8 +104,8 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target stm_concurrent_test core_map_concurrent_test \
   sync_test core_lock_test sync_stress_test chaos_test \
-  cm_test cm_chaos_test ebr_test read_fast_path_test \
-  wal_test chaos_fs_test checkpoint_test
+  cm_test cm_chaos_test ebr_test read_fast_path_test opacity_test \
+  stm_clock_test wal_test chaos_fs_test checkpoint_test
 
 echo "== tsan: run =="
 # tsan.supp masks only the STM's validated-racy core (see the file header);
@@ -117,6 +118,10 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/core_map_concurrent_test
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_test
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/core_lock_test
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_stress_test
+# Aborts that wrote in place tick the clock, and the opacity cases
+# orchestrate guarded and visible readers against writers.
+TSAN_OPTIONS="$TSAN" ./build-tsan/tests/stm_clock_test
+TSAN_OPTIONS="$TSAN" ./build-tsan/tests/opacity_test
 # Chaos under TSan: injected delays/aborts/timeouts shuffle the interleavings
 # the sanitizer observes. A subset keeps the run inside the time budget;
 # eager_opt_eagerall is the configuration both perfbench workloads run, with
@@ -133,9 +138,9 @@ TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L cm
 # verifies.
 TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L ebr
 # Fast path under TSan: unlocked readers traverse bases that mutators change
-# in place; the seqlock acquire fences and the per-stripe sequence words are
-# the only thing standing between that and a data race, so this is the suite
-# TSan earns its keep on.
+# in place; the base's own synchronization and the guarded read's orec
+# re-check behind an acquire fence are the only thing standing between that
+# and a data race, so this is the suite TSan earns its keep on.
 TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L fastpath
 # Durability under TSan: the group committer, strict waiters and the error
 # report share the failure state; the live-process suites run here, the

@@ -118,8 +118,8 @@ class PessimisticAdapter : public StmAdapterBase<PessimisticAdapter> {
  public:
   PessimisticAdapter(stm::Mode mode, std::size_t stripes,
                      stm::StmOptions opts = {})
-      // The map's shard count (= its sequence-word granularity) tracks the
-      // LAP striping, so `--ca-slots` governs both conflict abstractions.
+      // The map's shard count tracks the LAP striping, so `--ca-slots`
+      // governs both.
       : StmAdapterBase(mode, opts), lap_(stm_, stripes),
         map_(lap_, stripes) {}
   static std::string name() { return "proust-pess"; }

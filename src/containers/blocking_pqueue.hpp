@@ -10,6 +10,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace proust::containers {
@@ -77,6 +78,17 @@ class BlockingPriorityQueue {
   void for_each(F&& f) const {
     std::lock_guard<std::mutex> g(mu_);
     for (const T& v : heap_) f(v);
+  }
+
+  /// Heap order under Compare; empty when it holds, else the first element
+  /// that orders before its parent. Elements may repeat (it is a multiset),
+  /// so identity checks belong to the caller.
+  std::string check_invariants() const {
+    std::lock_guard<std::mutex> g(mu_);
+    const auto bad = std::is_heap_until(heap_.begin(), heap_.end(), inverted());
+    if (bad == heap_.end()) return {};
+    return "element " + std::to_string(bad - heap_.begin()) +
+           " orders before its parent";
   }
 
  private:

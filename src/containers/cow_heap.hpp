@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -243,6 +244,49 @@ class CowHeap {
     const unsigned slot = stm::ThreadRegistry::slot();
     ebr::EbrDomain::Guard g(ebr_, slot);
     walk(root_.load(std::memory_order_acquire), f);
+  }
+
+  /// Structural check of the published heap, for quiescent use (no
+  /// concurrent updates) in every build: heap order under Compare, the
+  /// leftist property (left rank >= right rank, null at rank 0), each
+  /// node's rank one above its right child's, and as many reachable nodes
+  /// as size(). Returns the first violation as text, empty when sound.
+  std::string check_invariants() const {
+    const unsigned slot = stm::ThreadRegistry::slot();
+    ebr::EbrDomain::Guard g(ebr_, slot);
+    Compare less{};
+    std::size_t nodes = 0;
+    std::vector<const Node*> stack;
+    if (const Node* root = root_.load(std::memory_order_acquire)) {
+      stack.push_back(root);
+    }
+    while (!stack.empty()) {
+      const Node* n = stack.back();
+      stack.pop_back();
+      ++nodes;
+      const auto at = [&] {
+        return "node " + std::to_string(nodes) + " (rank " +
+               std::to_string(n->rank) + "): ";
+      };
+      if (rank_of(n->left) < rank_of(n->right)) {
+        return at() + "left rank " + std::to_string(rank_of(n->left)) +
+               " below right rank " + std::to_string(rank_of(n->right));
+      }
+      if (n->rank != rank_of(n->right) + 1) {
+        return at() + "not one above its right child's rank " +
+               std::to_string(rank_of(n->right));
+      }
+      for (const Node* c : {n->left, n->right}) {
+        if (c == nullptr) continue;
+        if (less(c->value, n->value)) return at() + "a child orders first";
+        stack.push_back(c);
+      }
+    }
+    if (nodes != size()) {
+      return "size() is " + std::to_string(size()) + " but " +
+             std::to_string(nodes) + " nodes are reachable";
+    }
+    return {};
   }
 
   /// Reclamation observability (tests): nodes retired/pending in the domain.

@@ -142,7 +142,7 @@ class StripedHashMap {
   }
 
   /// Attempt-long reader pin (DESIGN.md §12): a transactional wrapper pins
-  /// its thread's slot once on the first fast-path read of an attempt and
+  /// its thread's slot once on the first read of an attempt and
   /// unpins at finish, so the per-read Guards inside get/contains become
   /// nested no-ops — one announce fence per attempt instead of one per
   /// lookup. Returns false if the slot was already pinned (the slot is
@@ -154,16 +154,16 @@ class StripedHashMap {
   }
   void reader_unpin(unsigned slot) const { ebr_.exit(slot); }
 
-  /// Hash once, use everywhere: wrappers on the optimistic read fast path
-  /// compute `hash_of` a single time per operation and feed it to both the
-  /// sequence-word stripe and the lookup itself.
+  /// Hash once, use everywhere: wrappers compute `hash_of` a single time
+  /// per read and feed it to both the bucket prefetch and the lookup
+  /// itself.
   std::size_t hash_of(const K& key) const noexcept { return Hasher{}(key); }
 
   /// Start the bucket head's cache line toward this core. A transactional
   /// wrapper knows the hash several branches before it issues the chain
-  /// walk (eligibility checks, sequence-word load); prefetching here
-  /// overlaps that work with the line fill, which matters on the unlocked
-  /// fast path where no lock RMW hides the memory latency.
+  /// walk (the CA slot's orec load); prefetching here overlaps that work
+  /// with the line fill, which matters on the unlocked read path where no
+  /// lock RMW hides the memory latency.
   void prefetch_bucket(std::size_t h) const noexcept {
     __builtin_prefetch(&shards_[h & (stripes_ - 1)].buckets[bucket_of(h)]);
   }
@@ -265,13 +265,6 @@ class StripedHashMap {
     ++s.count;
     return fresh->value;
   }
-
-  /// Stripe index of `key`, exposed so a wrapper's ReadSeqTable (optimistic
-  /// read fast path) can bracket exactly this key's shard.
-  std::size_t stripe_index(const K& key) const noexcept {
-    return Hasher{}(key) & (stripes_ - 1);
-  }
-  std::size_t stripe_count() const noexcept { return stripes_; }
 
   std::size_t size() const {
     std::size_t n = 0;

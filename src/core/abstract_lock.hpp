@@ -15,24 +15,19 @@
 // The choice of optimistic vs pessimistic conflict resolution stays with the
 // LockAllocatorPolicy passed at construction, exactly as in the paper.
 //
-// Read-only operations take one of two paths, fixed at construction: an
-// eager wrapper whose LAP's locked read would publish a visible-reader mark
-// (OptimisticLap on Mode::EagerAll) runs them unlocked and validated by its
-// ReadSeqTable (try_read_unlocked, DESIGN.md §12); every other wrapper,
-// lazy ones included, takes the lock.
+// Read-only operations (read()) take one of two paths, fixed at
+// construction: an eager wrapper whose LAP's locked read would publish a
+// visible-reader mark (OptimisticLap on Mode::EagerAll) runs them as the
+// LAP's guarded read, unlocked and validated against the key's CA slot
+// (DESIGN.md §12); every other wrapper, lazy ones included, takes the lock.
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
 #include "core/lap.hpp"
 #include "core/update_strategy.hpp"
-#include "stm/commit_fence.hpp"
 #include "stm/stm.hpp"
 
 namespace proust::core {
@@ -48,9 +43,17 @@ class AbstractLock {
         unlocked_reads_(strategy == UpdateStrategy::Eager &&
                         lap.reads_visible()) {}
 
-  /// Do read-only operations take the unlocked path? Eager wrappers build
-  /// their ReadSeqTable, and their mutators pin it, only when this holds.
-  bool unlocked_reads() const noexcept { return unlocked_reads_; }
+  /// Run the read-only `op` on `key`'s region: as the LAP's guarded read
+  /// on the unlocked side (see the file comment), else under a read lock
+  /// (apply with write=false). `op` must rely only on the base's own
+  /// synchronization, and may run more than once.
+  template <class F>
+  auto read(stm::Txn& tx, const Key& key, F&& op) {
+    if constexpr (requires { lap_->read_guarded(tx, key, op); }) {
+      if (unlocked_reads_) return lap_->read_guarded(tx, key, op);
+    }
+    return apply(tx, key, /*write=*/false, std::forward<F>(op));
+  }
 
   /// apply(tx, {locks...})(op) — no inverse (reads, or lazy updates whose
   /// rollback is "drop the replay log").
@@ -87,40 +90,6 @@ class AbstractLock {
     lap_->acquire(tx, key, write);
     return apply_locked(tx, std::forward<F>(op), std::forward<Inv>(inverse),
                         [&] { lap_->post_op(tx, key, write); });
-  }
-
-  // --- Unlocked read path (DESIGN.md §12) --------------------------------
-  // Run a read-only operation against the base with NO abstract lock: load
-  // the bracketing word (the ReadSeqTable stripe word that mutators pin
-  // across mutation + rollback; null when the table was not built), require
-  // it stable, run `op` (which must rely only on the base's internal
-  // synchronization), then hand the observed word to the transaction for
-  // admission. Engaged optional = the result is as good as a locked read
-  // (the admission recorded it for commit revalidation); nullopt = discard
-  // the result and take the locked slow path, which is also the only path
-  // when unlocked_reads() is false. Aborts propagate (a previously admitted
-  // read failed revalidation).
-  template <class F>
-  auto try_read_unlocked(stm::Txn& tx,
-                         const std::atomic<std::uint64_t>* word, F&& op)
-      -> std::optional<std::invoke_result_t<F&>> {
-    if (!unlocked_reads_ || !tx.fast_read_eligible()) return std::nullopt;
-    assert(word != nullptr && "unlocked reads need the wrapper's ReadSeqTable");
-    if (tx.chaos_fastpath_fallback()) [[unlikely]] {
-      tx.note_fastpath_fallback();
-      return std::nullopt;
-    }
-    const std::uint64_t s0 = word->load(std::memory_order_acquire);
-    if (!stm::CommitFence::quiescent(s0)) {  // a mutator is pinned here
-      tx.note_fastpath_fallback();
-      return std::nullopt;
-    }
-    auto result = op();
-    if (!tx.admit_unlocked_read(word, s0)) {
-      tx.note_fastpath_fallback();
-      return std::nullopt;
-    }
-    return result;
   }
 
  private:

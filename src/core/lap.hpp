@@ -22,12 +22,16 @@
 //   void acquire(stm::Txn&, const Key&, bool write);   // before the base op
 //   void post_op(stm::Txn&, const Key&, bool write);   // after it (lazy CA read-back)
 //   bool reads_visible();  // does a read acquire publish a visible-reader mark?
+// A LAP may also offer read_guarded(tx, key, op), the unlocked read that
+// AbstractLock::read runs for eager wrappers when reads_visible() holds
+// (DESIGN.md §12); OptimisticLap does.
 #pragma once
 
 #include <chrono>
 #include <concepts>
 #include <cstdint>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/hashing.hpp"
@@ -85,10 +89,20 @@ class OptimisticLap {
   }
 
   /// On EagerAll a CA read sets the slot's reader bit, which makes every
-  /// writer of the slot yield; eager wrappers then read unlocked (DESIGN.md
-  /// §12).
+  /// writer of the slot yield; eager wrappers then read through
+  /// read_guarded instead (DESIGN.md §12).
   bool reads_visible() const noexcept {
     return stm_->mode() == stm::Mode::EagerAll;
+  }
+
+  /// Run the read-only `op` as a guarded read of `key`'s slot
+  /// (stm::Txn::read_guarded): no reader bit and no lock, validated against
+  /// the slot's orec like any invisible STM read. Every mutator of the
+  /// region under the slot holds its lock from the CA write to the end of
+  /// its rollback.
+  template <class F>
+  auto read_guarded(stm::Txn& tx, const Key& key, F&& op) {
+    return tx.read_guarded(slot(key), std::forward<F>(op));
   }
 
   stm::Stm& stm() noexcept { return *stm_; }
@@ -158,9 +172,9 @@ class PessimisticLap {
       tx.retry(stm::AbortReason::AbstractLockTimeout);
     }
     // The stripe is ours until finish, so what the operation reads next is
-    // stable; reads another wrapper admitted unlocked earlier in this
-    // attempt must still hold for the body to see both.
-    tx.revalidate_unlocked_reads();
+    // stable; guarded reads of another wrapper earlier in this attempt must
+    // still hold for the body to see both.
+    tx.revalidate_guarded_reads();
   }
 
   void post_op(stm::Txn&, const Key&, bool) {}  // locks are held to finish

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "containers/cow_heap.hpp"
 #include "core/abstract_lock.hpp"
@@ -68,6 +69,10 @@ class LazyPriorityQueue {
     heap_.insert(value);
     size_.unsafe_add(1);
   }
+
+  /// The base COW heap's structural check (quiescent use only; empty =
+  /// sound).
+  std::string check_invariants() const { return heap_.check_invariants(); }
 
  private:
   Log& log(stm::Txn& tx) {

@@ -12,7 +12,6 @@
 #include "core/abstract_lock.hpp"
 #include "stm/thread_registry.hpp"
 #include "core/committed_size.hpp"
-#include "core/read_seq.hpp"
 #include "core/update_strategy.hpp"
 #include "stm/stm.hpp"
 
@@ -22,15 +21,13 @@ template <class K, class V, LockAllocatorPolicy<K> Lap>
 class TxnHashMap {
  public:
   explicit TxnHashMap(Lap& lap, std::size_t stripes = 64)
-      : lock_(lap, UpdateStrategy::Eager), map_(stripes),
-        seqs_(map_.stripe_count(), lock_.unlocked_reads()) {}
+      : lock_(lap, UpdateStrategy::Eager), map_(stripes) {}
 
   /// Insert or replace. Returns the previous mapping, as Figure 2a's put.
   std::optional<V> put(stm::Txn& tx, const K& key, const V& value) {
     return lock_.apply(
         tx, key, /*write=*/true,
         [&] {
-          if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
           std::optional<V> ret = map_.put(key, value);
           if (!ret) size_.bump(tx, +1);
           return ret;
@@ -45,43 +42,31 @@ class TxnHashMap {
   }
 
   std::optional<V> get(stm::Txn& tx, const K& key) {
-    // Unlocked path (DESIGN.md §12): read the shard with no abstract lock,
-    // bracketed by its sequence word; mutators (and their rollback inverses)
-    // hold the word pinned. Falls back to the locked read on any overlap.
-    // Reading our own prior write is covered either way — an eager write
-    // already landed in the base, and its stripe pin is ours.
+    // On the unlocked side (DESIGN.md §12) this is a guarded read of the
+    // key's CA slot, whose mutators hold it locked across mutation and
+    // rollback. Reading our own prior write is covered either way: an eager
+    // write already landed in the base, and its slot lock is ours.
     const std::size_t h = map_.hash_of(key);
     map_.prefetch_bucket(h);
-    if (auto fast = lock_.try_read_unlocked(
-            tx, seqs_.word(map_.stripe_of_hash(h)), [&] {
-              pin_for_attempt(tx);
-              return map_.get_hashed(h, key);
-            })) {
-      return *fast;
-    }
-    return lock_.apply(tx, key, /*write=*/false,
-                       [&] { return map_.get_hashed(h, key); });
+    return lock_.read(tx, key, [&] {
+      pin_for_attempt(tx);
+      return map_.get_hashed(h, key);
+    });
   }
 
   bool contains(stm::Txn& tx, const K& key) {
     const std::size_t h = map_.hash_of(key);
     map_.prefetch_bucket(h);
-    if (auto fast = lock_.try_read_unlocked(
-            tx, seqs_.word(map_.stripe_of_hash(h)), [&] {
-              pin_for_attempt(tx);
-              return map_.contains_hashed(h, key);
-            })) {
-      return *fast;
-    }
-    return lock_.apply(tx, key, /*write=*/false,
-                       [&] { return map_.contains_hashed(h, key); });
+    return lock_.read(tx, key, [&] {
+      pin_for_attempt(tx);
+      return map_.contains_hashed(h, key);
+    });
   }
 
   std::optional<V> remove(stm::Txn& tx, const K& key) {
     return lock_.apply(
         tx, key, /*write=*/true,
         [&] {
-          if (seqs_.enabled()) seqs_.writer_pin(tx, map_.stripe_index(key));
           std::optional<V> ret = map_.remove(key);
           if (ret) size_.bump(tx, -1);
           return ret;
@@ -103,8 +88,8 @@ class TxnHashMap {
   std::string check_invariants() const { return map_.check_invariants(); }
 
  private:
-  /// Amortize the EBR announce fence across the attempt: the first fast-path
-  /// read pins this thread's reader slot in the map's domain and schedules
+  /// Amortize the EBR announce fence across the attempt: the first read
+  /// pins this thread's reader slot in the map's domain and schedules
   /// the unpin at finish (after the abort hooks — their inverses retire
   /// nodes under this same pin). Later reads, and any writer Guards nested
   /// inside the attempt, find the slot pinned and skip the fence. The pin
@@ -119,7 +104,6 @@ class TxnHashMap {
 
   AbstractLock<K, Lap> lock_;
   containers::StripedHashMap<K, V> map_;
-  ReadSeqTable seqs_;  // one word per base shard (unlocked reads only)
   CommittedSize size_;
 };
 

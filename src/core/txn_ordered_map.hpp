@@ -22,7 +22,6 @@
 #include "containers/concurrent_skip_list.hpp"
 #include "core/abstract_lock.hpp"
 #include "core/committed_size.hpp"
-#include "core/read_seq.hpp"
 #include "core/update_strategy.hpp"
 #include "stm/stm.hpp"
 #include "stm/thread_registry.hpp"
@@ -45,7 +44,6 @@ class TxnOrderedMap {
   /// stripes (correct, just coarser there).
   TxnOrderedMap(Lap& lap, K key_min, K key_max, std::size_t stripes)
       : lock_(lap, UpdateStrategy::Eager),
-        seqs_(stripes, lock_.unlocked_reads()),
         key_min_(key_min), key_max_(key_max), stripes_(stripes) {}
 
   std::optional<V> put(stm::Txn& tx, K key, const V& value) {
@@ -53,7 +51,6 @@ class TxnOrderedMap {
     return lock_.apply(
         tx, s, /*write=*/true,
         [&] {
-          if (seqs_.enabled()) seqs_.writer_pin(tx, s);
           std::optional<V> ret = map_.put(key, value);
           if (!ret) size_.bump(tx, +1);
           return ret;
@@ -68,29 +65,20 @@ class TxnOrderedMap {
   }
 
   std::optional<V> get(stm::Txn& tx, K key) {
-    // Unlocked path (DESIGN.md §12): the skip list's point lookup is
-    // internally safe against concurrent mutators, so the interval stripe's
-    // sequence word alone brackets the read.
-    const std::size_t s = stripe_of(key);
-    if (auto fast = lock_.try_read_unlocked(tx, seqs_.word(s), [&] {
-          pin_for_attempt(tx);
-          return map_.get(key);
-        })) {
-      return *fast;
-    }
-    return lock_.apply(tx, s, /*write=*/false, [&] { return map_.get(key); });
+    // The skip list's point lookup is internally safe against concurrent
+    // mutators, so on the unlocked side (DESIGN.md §12) the interval
+    // stripe's CA slot alone guards the read.
+    return lock_.read(tx, stripe_of(key), [&] {
+      pin_for_attempt(tx);
+      return map_.get(key);
+    });
   }
 
   bool contains(stm::Txn& tx, K key) {
-    const std::size_t s = stripe_of(key);
-    if (auto fast = lock_.try_read_unlocked(tx, seqs_.word(s), [&] {
-          pin_for_attempt(tx);
-          return map_.contains(key);
-        })) {
-      return *fast;
-    }
-    return lock_.apply(tx, s, /*write=*/false,
-                       [&] { return map_.contains(key); });
+    return lock_.read(tx, stripe_of(key), [&] {
+      pin_for_attempt(tx);
+      return map_.contains(key);
+    });
   }
 
   std::optional<V> remove(stm::Txn& tx, K key) {
@@ -98,7 +86,6 @@ class TxnOrderedMap {
     return lock_.apply(
         tx, s, /*write=*/true,
         [&] {
-          if (seqs_.enabled()) seqs_.writer_pin(tx, s);
           std::optional<V> ret = map_.remove(key);
           if (ret) size_.bump(tx, -1);
           return ret;
@@ -195,7 +182,6 @@ class TxnOrderedMap {
 
   AbstractLock<std::size_t, Lap> lock_;
   containers::ConcurrentSkipList<K, V> map_;
-  ReadSeqTable seqs_;  // one word per interval stripe (unlocked reads only)
   CommittedSize size_;
   K key_min_;
   K key_max_;

@@ -12,16 +12,18 @@
 // counterexample (see tests/verify_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "containers/blocking_pqueue.hpp"
 #include "core/abstract_lock.hpp"
 #include "core/committed_size.hpp"
 #include "core/pqueue_state.hpp"
-#include "core/read_seq.hpp"
 #include "core/update_strategy.hpp"
 #include "stm/stm.hpp"
 
@@ -49,9 +51,7 @@ class TxnPriorityQueue {
   };
 
  public:
-  explicit TxnPriorityQueue(Lap& lap)
-      : lock_(lap, UpdateStrategy::Eager),
-        seqs_(1, lock_.unlocked_reads()) {}
+  explicit TxnPriorityQueue(Lap& lap) : lock_(lap, UpdateStrategy::Eager) {}
 
   void insert(stm::Txn& tx, const T& value) {
     const std::optional<T> cur = min(tx);
@@ -61,7 +61,6 @@ class TxnPriorityQueue {
         {Write(PQueueState::MultiSet),
          lowers_min ? Write(PQueueState::Min) : Read(PQueueState::Min)},
         [&] {
-          if (seqs_.enabled()) seqs_.writer_pin(tx, 0);
           CellPtr cell = std::make_shared<Cell>(value);
           pq_.add(cell);
           size_.bump(tx, +1);
@@ -74,41 +73,25 @@ class TxnPriorityQueue {
   }
 
   std::optional<T> min(stm::Txn& tx) {
-    // Unlocked path (DESIGN.md §12): a single sequence word brackets
-    // the whole queue (its abstract state has one hot component — the
-    // minimum). A tombstoned top cell forces the locked path, whose cleanup
-    // mutates the base.
-    bool dirty = false;
-    if (auto fast = lock_.try_read_unlocked(
-            tx, seqs_.word(0), [&]() -> std::optional<T> {
-              std::optional<CellPtr> top = pq_.peek();
-              if (!top) return std::nullopt;
-              if ((*top)->deleted.load(std::memory_order_acquire)) {
-                dirty = true;
-                return std::nullopt;
-              }
-              return (*top)->value;
-            });
-        fast && !dirty) {
-      return *fast;
-    }
-    return lock_.apply(tx, {Read(PQueueState::Min)},
-                       [&]() -> std::optional<T> {
-                         for (;;) {
-                           std::optional<CellPtr> top = pq_.peek();
-                           if (!top) return std::nullopt;
-                           if (!(*top)->deleted.load(std::memory_order_acquire))
-                             return (*top)->value;
-                           pq_.remove_one(*top);  // physical cleanup
-                         }
-                       });
+    // On the unlocked side (DESIGN.md §12) a guarded read of the Min slot.
+    // The cleanup only drops cells that an aborted insert tombstoned, which
+    // left the abstract state with that abort, so it needs no lock.
+    return lock_.read(tx, PQueueState::Min, [&]() -> std::optional<T> {
+      for (;;) {
+        std::optional<CellPtr> top = pq_.peek();
+        if (!top) return std::nullopt;
+        if (!(*top)->deleted.load(std::memory_order_acquire)) {
+          return (*top)->value;
+        }
+        pq_.remove_one(*top);  // physical cleanup
+      }
+    });
   }
 
   std::optional<T> remove_min(stm::Txn& tx) {
     return lock_.apply(
         tx, {Write(PQueueState::Min), Write(PQueueState::MultiSet)},
         [&]() -> std::optional<T> {
-          if (seqs_.enabled()) seqs_.writer_pin(tx, 0);
           for (;;) {
             std::optional<CellPtr> top = pq_.poll();
             if (!top) return std::nullopt;
@@ -126,7 +109,7 @@ class TxnPriorityQueue {
   }
 
   bool contains(stm::Txn& tx, const T& value) {
-    const auto scan = [&] {
+    return lock_.read(tx, PQueueState::MultiSet, [&] {
       bool found = false;
       Compare less{};
       pq_.for_each([&](const CellPtr& c) {
@@ -136,11 +119,7 @@ class TxnPriorityQueue {
         }
       });
       return found;
-    };
-    if (auto fast = lock_.try_read_unlocked(tx, seqs_.word(0), scan)) {
-      return *fast;
-    }
-    return lock_.apply(tx, {Read(PQueueState::MultiSet)}, scan);
+    });
   }
 
   /// Committed size (reified, like the maps').
@@ -151,10 +130,23 @@ class TxnPriorityQueue {
     size_.unsafe_add(1);
   }
 
+  /// The base queue's heap order, and that no cell sits in it twice (an
+  /// inverse adds a fresh cell; remove_min and min's cleanup drop the one
+  /// they found). Quiescent use only; empty = sound.
+  std::string check_invariants() const {
+    if (std::string err = pq_.check_invariants(); !err.empty()) return err;
+    std::vector<const Cell*> cells;
+    pq_.for_each([&](const CellPtr& c) { cells.push_back(c.get()); });
+    std::sort(cells.begin(), cells.end());
+    if (std::adjacent_find(cells.begin(), cells.end()) != cells.end()) {
+      return "a cell appears twice in the base queue";
+    }
+    return {};
+  }
+
  private:
   AbstractLock<PQueueState, Lap> lock_;
   containers::BlockingPriorityQueue<CellPtr, CellCompare> pq_;
-  ReadSeqTable seqs_;  // single word: the whole queue (unlocked reads only)
   CommittedSize size_;
 };
 

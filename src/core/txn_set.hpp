@@ -1,8 +1,8 @@
 // A Proustian set, demonstrating that wrappers compose: it is a thin
 // abstract-type adapter over the eager Proustian map (element → unit), so it
 // inherits the map's conflict abstraction (per-element striping), update
-// strategy, and optimistic read fast path (contains() rides the map's
-// sequence-validated unlocked lookup — DESIGN.md §12) for free.
+// strategy, and unlocked read path (contains() rides the map's guarded
+// lookup — DESIGN.md §12) for free.
 #pragma once
 
 #include "core/txn_hash_map.hpp"

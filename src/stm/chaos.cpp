@@ -29,9 +29,6 @@ ChaosConfig ChaosConfig::standard(std::uint64_t seed) noexcept {
   c.at(ChaosPoint::LapAcquire) = {.abort = 0.005, .timeout = 0.01, .delay = 0.02};
   c.at(ChaosPoint::LockTransition) = {.abort = 0, .timeout = 0.02, .delay = 0.2};
   c.at(ChaosPoint::ReplayApply) = {.abort = 0, .timeout = 0, .delay = 0.05};
-  // Abort/Timeout draws here coerce to a forced slow-path fallback (the
-  // point sits before any admission, so there is nothing to abort).
-  c.at(ChaosPoint::FastPathRead) = {.abort = 0.02, .timeout = 0, .delay = 0.02};
   return c;
 }
 
@@ -45,7 +42,6 @@ ChaosConfig ChaosConfig::aggressive(std::uint64_t seed) noexcept {
   c.at(ChaosPoint::LapAcquire) = {.abort = 0.02, .timeout = 0.05, .delay = 0.05};
   c.at(ChaosPoint::LockTransition) = {.abort = 0, .timeout = 0.1, .delay = 0.3};
   c.at(ChaosPoint::ReplayApply) = {.abort = 0, .timeout = 0, .delay = 0.1};
-  c.at(ChaosPoint::FastPathRead) = {.abort = 0.1, .timeout = 0, .delay = 0.05};
   c.delay_spins = 512;
   return c;
 }

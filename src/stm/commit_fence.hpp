@@ -41,8 +41,7 @@ namespace proust::stm {
 
 class CommitFence {
  public:
-  // Low 20 bits: writers in flight. High 44 bits: total entries. The
-  // sequence words of core/read_seq.hpp share this format.
+  // Low 20 bits: writers in flight. High 44 bits: total entries.
   static constexpr std::uint64_t kActiveMask = (1ull << 20) - 1;
   static constexpr std::uint64_t kEntry = (1ull << 20) | 1ull;
 

@@ -97,7 +97,6 @@ enum class ChaosPoint : std::uint8_t {
   LapAcquire,      // pessimistic abstract-lock acquisition (core/lap.hpp)
   LockTransition,  // reentrant-RW-lock CAS/park transitions (sync layer)
   ReplayApply,     // replay-log application (commit-locked hooks)
-  FastPathRead,    // optimistic unlocked read admission (forces the slow path)
   // WAL gates (stm/wal.hpp). These run on the group-committer thread; a
   // Crash draw _exit()s the process there, which is how the crash-matrix
   // suite manufactures torn appends, unsealed batches, lost fsyncs and
@@ -130,7 +129,6 @@ constexpr const char* to_string(ChaosPoint p) noexcept {
     case ChaosPoint::LapAcquire: return "lap-acquire";
     case ChaosPoint::LockTransition: return "lock-transition";
     case ChaosPoint::ReplayApply: return "replay-apply";
-    case ChaosPoint::FastPathRead: return "fast-path-read";
     case ChaosPoint::WalAppend: return "wal-append";
     case ChaosPoint::WalSeal: return "wal-seal";
     case ChaosPoint::WalFsync: return "wal-fsync";

@@ -54,8 +54,9 @@ class Orec {
                                          std::memory_order_acquire);
   }
 
-  /// Release a held lock, publishing `new_version` (commit) or the displaced
-  /// version (abort). Only the owner may call this.
+  /// Release a held lock, publishing `new_version`: the commit's wv, or on
+  /// abort the displaced version (no in-place write) or a fresh one
+  /// (Txn::rollback). Only the owner may call this.
   void unlock(Version new_version) noexcept {
     word_.store(static_cast<std::uintptr_t>(new_version) << 1,
                 std::memory_order_release);

@@ -65,10 +65,7 @@ std::string StatsSnapshot::to_string() const {
     os << " gate{holds=" << gate_holds << " total=" << gate_ns
        << "ns max=" << gate_max_ns << "ns}";
   }
-  if (fastpath_hits + fastpath_fallbacks > 0) {
-    os << " fastpath{hits=" << fastpath_hits
-       << " fallbacks=" << fastpath_fallbacks << "}";
-  }
+  if (fastpath_hits > 0) os << " fastpath{hits=" << fastpath_hits << "}";
   if (wal_publishes + wal_refused > 0) {
     os << " wal{publishes=" << wal_publishes << " records=" << wal_records
        << " bytes=" << wal_bytes << " strict_waits=" << wal_strict_waits
@@ -129,7 +126,6 @@ StatsSnapshot Stats::snapshot() const {
     s.gate_ns += ld(c.gate_ns);
     s.gate_max_ns = std::max(s.gate_max_ns, ld(c.gate_max_ns));
     s.fastpath_hits += ld(c.fastpath_hits);
-    s.fastpath_fallbacks += ld(c.fastpath_fallbacks);
     s.wal_publishes += ld(c.wal_publishes);
     s.wal_records += ld(c.wal_records);
     s.wal_bytes += ld(c.wal_bytes);
@@ -158,7 +154,6 @@ void Stats::reset() {
     st(c.gate_ns, 0);
     st(c.gate_max_ns, 0);
     st(c.fastpath_hits, 0);
-    st(c.fastpath_fallbacks, 0);
     st(c.wal_publishes, 0);
     st(c.wal_records, 0);
     st(c.wal_bytes, 0);

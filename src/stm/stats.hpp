@@ -58,11 +58,9 @@ struct StatsSnapshot {
   std::uint64_t gate_ns = 0;
   std::uint64_t gate_max_ns = 0;
 
-  /// Optimistic read fast path (DESIGN.md §12): unlocked reads admitted
-  /// without the abstract lock, and attempts that were eligible but fell
-  /// back to the locked slow path (unstable word, frozen snapshot, chaos).
+  /// Guarded reads (DESIGN.md §12): wrapper reads served without the
+  /// abstract lock, validated against their CA slot's orec.
   std::uint64_t fastpath_hits = 0;
-  std::uint64_t fastpath_fallbacks = 0;
 
   /// Durability (DESIGN.md §14): commits that published redo records to the
   /// WAL, records/bytes staged, and time strict commits spent blocked on the
@@ -104,7 +102,6 @@ class Stats {
     std::uint64_t gate_ns = 0;
     std::uint64_t gate_max_ns = 0;
     std::uint64_t fastpath_hits = 0;
-    std::uint64_t fastpath_fallbacks = 0;
     std::uint64_t wal_publishes = 0;
     std::uint64_t wal_records = 0;
     std::uint64_t wal_bytes = 0;
@@ -160,7 +157,6 @@ class Stats {
       if (ns > ld(c_->gate_max_ns)) st(c_->gate_max_ns, ns);
     }
     void count_fastpath_hit() noexcept { bump(c_->fastpath_hits); }
-    void count_fastpath_fallback() noexcept { bump(c_->fastpath_fallbacks); }
     /// One commit that published `records` redo records (`bytes` staged
     /// payload incl. per-record framing) to the WAL.
     void count_wal_publish(std::uint64_t records, std::uint64_t bytes) noexcept {

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <mutex>
 #include <shared_mutex>
@@ -54,8 +53,10 @@ class Stm {
   }
 
   /// Produce this commit's write version: one `fetch_add` on the shared
-  /// clock (TL2's GV1). Must be called *after* the committing transaction
-  /// holds all of its write locks, which gives two invariants:
+  /// clock (TL2's GV1). An aborting attempt that wrote in place draws one
+  /// too and releases those vars at it (Txn::rollback). Must be called *after*
+  /// the transaction holds all of its write locks, which gives two
+  /// invariants:
   ///  - `wv` postdates lock acquisition: a reader whose `rv >= wv` began
   ///    after this committer's locks were visible, so it can never have
   ///    copied a pre-commit value of ours;
@@ -209,62 +210,5 @@ class Stm {
   std::atomic<std::uint64_t> gate_entered_ns_{0};
   std::atomic<std::uint32_t> gate_holder_{~0u};
 };
-
-// ---------------------------------------------------------------------------
-// Fast-path admission, inline. These run once per unlocked read; defining
-// them in the header keeps the per-lookup cost to the loads themselves
-// instead of a cross-TU call and its spills. The cold edges — the own-pin
-// excuse's hold lookup, chaos — stay out of line in txn.cpp.
-// ---------------------------------------------------------------------------
-
-inline bool Txn::unlocked_reads_valid() const noexcept {
-  // LoadLoad barrier: order the caller's preceding base-structure reads
-  // (and any data reads since the last validation) before the word
-  // re-loads — the seqlock reader-side recipe.
-  std::atomic_thread_fence(std::memory_order_acquire);
-  for (const detail::SeqReadEntry& e : arena_.seq_reads) {
-    const std::uint64_t w = e.word->load(std::memory_order_acquire);
-    if (w == e.observed) [[likely]] continue;
-    // One pin past the observed (stable) value with the pin being our own:
-    // this attempt read the stripe and later mutated it. The eager mutation
-    // is guarded by the abstract lock + undo hooks, so the admitted read
-    // stays coherent with this transaction's own view.
-    if (w == e.observed + CommitFence::kEntry && holds_seq_word(e.word)) {
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
-                                     std::uint64_t observed) {
-  assert(active_);
-  // Only eager wrappers over the optimistic LAP on EagerAll read unlocked,
-  // and EagerAll never appends to the STM read set: an admitted read needs
-  // no clock cut, only the words below.
-  assert(mode_ == Mode::EagerAll && arena_.reads.empty());
-  if (arena_.seq_reads.size() >= kMaxUnlockedReads) return false;
-  // Revalidate every admitted read, with the dedup probe fused into the
-  // scan. A moved word without the own-pin excuse is a permanent miss
-  // (entry counts only grow), so it aborts.
-  std::atomic_thread_fence(std::memory_order_acquire);
-  bool covered = false;
-  for (const detail::SeqReadEntry& e : arena_.seq_reads) {
-    const std::uint64_t w = e.word->load(std::memory_order_acquire);
-    if (w != e.observed) [[unlikely]] {
-      if (!(w == e.observed + CommitFence::kEntry && holds_seq_word(e.word))) {
-        throw ConflictAbort{AbortReason::ValidationFailed};
-      }
-    }
-    covered |= (e.word == word);
-  }
-  // The seqlock's closing check: the word must not have moved across the
-  // traversal.
-  if (word->load(std::memory_order_acquire) != observed) return false;
-  if (!covered) arena_.seq_reads.push_back({word, observed});
-  stats_.count_fastpath_hit();
-  return true;
-}
 
 }  // namespace proust::stm

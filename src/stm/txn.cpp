@@ -147,7 +147,6 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
     if (Orec::is_locked(w)) {
       if (Orec::owner_of(w)->owner == this) {
         std::memcpy(dst, var.data_, size);
-        if (mode_ == Mode::EagerAll) revalidate_unlocked_reads();
         return;
       }
       throw ConflictAbort{AbortReason::ReadLocked};  // requester aborts
@@ -159,9 +158,9 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
     const Version ver = Orec::version_of(w);
     if (ver > rv_) {
       if (mode_ == Mode::Lazy) throw ConflictAbort{AbortReason::ReadVersion};
-      // Timestamp extension (TinySTM-style). In EagerAll the read set is
-      // empty (visible readers make validation unnecessary), so this always
-      // succeeds and merely slides the snapshot forward.
+      // Timestamp extension (TinySTM-style). In EagerAll the read set
+      // holds only guarded reads (visible readers need no entries), so
+      // with none of those this merely slides the snapshot forward.
       extend_or_abort();
       // The copied value is stale evidence: the var may have been
       // recommitted between the copy and the extension, and a compare
@@ -171,11 +170,7 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
       // snapshot.
       continue;
     }
-    if (mode_ == Mode::EagerAll) {
-      revalidate_unlocked_reads();
-    } else {
-      arena_.reads.push_back({&var, ver});
-    }
+    if (mode_ != Mode::EagerAll) arena_.reads.push_back({&var, ver});
     return;
   }
   throw ConflictAbort{AbortReason::ReadVersion};
@@ -192,6 +187,9 @@ void Txn::read_validate_impl(const VarBase& var) {
     // *base*. With a frozen snapshot (lazy wrappers), additionally require
     // the location to be unchanged since the pinned read version: the
     // shadow copy, unlike an in-place read, does not track current state.
+    // A version past the snapshot may belong to a commit that also moved
+    // a guarded read's slot, so with any logged, extend (which validates
+    // them) before the caller reads what the bit now protects.
     mark_reader(const_cast<VarBase&>(var));
     const std::uintptr_t w = var.orec_.load();
     if (Orec::is_locked(w)) {
@@ -200,10 +198,10 @@ void Txn::read_validate_impl(const VarBase& var) {
       if (snapshot_frozen_ && rec->old_version > rv_) {
         throw ConflictAbort{AbortReason::ReadVersion};
       }
-    } else if (snapshot_frozen_ && Orec::version_of(w) > rv_) {
-      throw ConflictAbort{AbortReason::ReadVersion};
+    } else if (Orec::version_of(w) > rv_) {
+      if (snapshot_frozen_) throw ConflictAbort{AbortReason::ReadVersion};
+      if (!arena_.reads.empty()) extend_or_abort();
     }
-    revalidate_unlocked_reads();
     return;
   }
 
@@ -266,7 +264,6 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
       // Foreign visible readers: eager read-write conflict, yield to them.
       throw ConflictAbort{AbortReason::VisibleReader};
     }
-    revalidate_unlocked_reads();
   }
   std::memcpy(e.undo.ensure(size), var.data_, size);
   e.wrote = true;
@@ -299,48 +296,8 @@ void Txn::extend_or_abort() {
   if (!validate_read_set()) {
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
-  // Admitted unlocked reads move with the snapshot: they are valid at the
-  // new rv only if their words never moved (sequence words are not
-  // versioned, so "unchanged since admission" is the only claim we can
-  // extend).
-  if (!unlocked_reads_valid()) [[unlikely]] {
-    throw ConflictAbort{AbortReason::ValidationFailed};
-  }
   rv_ = now;
   stats_.count_extension();
-}
-
-void Txn::revalidate_unlocked_reads() {
-  if (arena_.seq_reads.empty()) [[likely]] return;
-  if (!unlocked_reads_valid()) {
-    throw ConflictAbort{AbortReason::ValidationFailed};
-  }
-}
-
-bool Txn::holds_seq_word(
-    const std::atomic<std::uint64_t>* word) const noexcept {
-  for (const TxnArena::SeqHold& h : arena_.seq_holds) {
-    if (h.word == word) return true;
-  }
-  return false;
-}
-
-// unlocked_reads_valid / admit_unlocked_read are defined inline at the
-// bottom of stm.hpp: they run once per fast-path read, and an out-of-line
-// call per lookup (plus the spills it forces) costs more than the admission
-// logic itself.
-
-bool Txn::chaos_fastpath_fallback_slow() {
-  const ChaosAction a = chaos_->decide(ChaosPoint::FastPathRead);
-  if (a == ChaosAction::None) [[likely]] return false;
-  stats_.count_injected(ChaosPoint::FastPathRead);
-  if (a == ChaosAction::Delay) {
-    chaos_->inject_delay();
-    return false;
-  }
-  // Abort/Timeout draws force the locked slow path: the fast path's failure
-  // mode *is* the fallback, and the slow path must produce the same result.
-  return true;
 }
 
 void Txn::release_locks(Version version) noexcept {
@@ -354,19 +311,9 @@ void Txn::release_locks(Version version) noexcept {
   }
 }
 
-void Txn::undo_writes() noexcept {
-  for (std::size_t i = arena_.writes.size(); i-- > 0;) {
-    detail::WriteEntry& e = arena_.writes[i];
-    if (e.wrote) {
-      std::memcpy(e.var->data_, e.undo.data(e.var->size_), e.var->size_);
-      e.wrote = false;
-    }
-  }
-}
-
 void Txn::commit() {
   assert(active_);
-  // Fast-path reads pin a container's EBR domain only for the base
+  // Wrapper reads pin a container's EBR domain only for the base
   // traversal itself; a pin that survives to commit would stall every
   // domain the thread touches (common/ebr.hpp debug_guard_depth).
   assert(ebr::debug_guard_depth() == 0 &&
@@ -390,18 +337,15 @@ void Txn::commit() {
     }
   }
 
-  // Read-only (and hook-free) fast path: reads were validated incrementally,
-  // no clock advance needed. Note an eager pessimistic *mutator* also lands
-  // here (its writes went through abort hooks + abstract locks, not the STM
-  // write set), so admitted unlocked reads are still revalidated — with the
-  // self-pin excuse for stripes this attempt both read and mutated.
+  // Read-only (and hook-free) fast path: reads were validated incrementally
+  // against rv, so the attempt serializes there (TL2) and needs no clock
+  // advance. An eager pessimistic *mutator* also lands here (its writes went
+  // through abort hooks + abstract locks, not the STM write set); every
+  // acquisition revalidated the guarded reads before it.
   // Staged WAL records force the full path: the publish (epoch assignment)
   // must happen inside the commit-fence bracket below.
   if (arena_.writes.empty() && arena_.commit_locked_hooks.empty() &&
       arena_.wal_buf.empty()) {
-    if (!arena_.seq_reads.empty() && !unlocked_reads_valid()) [[unlikely]] {
-      throw ConflictAbort{AbortReason::ValidationFailed};
-    }
     clear_reader_marks();
     active_ = false;
     stats_.count_commit();
@@ -446,21 +390,15 @@ void Txn::commit() {
   try {
     wv = stm_.generate_wv();
     // Last legal injection window: every write lock is held and wv exists,
-    // but nothing has been applied — an abort here must restore the
-    // displaced versions on release. Delays widen the all-locks-held
-    // window. (Past the commit-locked hooks there is no aborting, only
-    // delay — see run_commit_locked_hooks.)
+    // but nothing has been applied — an abort here releases the locks
+    // rollback's way (displaced versions, or a fresh one for vars written
+    // in place). Delays widen the all-locks-held window. (Past the
+    // commit-locked hooks there is no aborting, only delay — see
+    // run_commit_locked_hooks.)
     chaos_point(ChaosPoint::WvPublish);
-    const bool need_validation =
-        mode_ != Mode::EagerAll && !arena_.reads.empty() && rv_ + 1 != wv;
+    const bool need_validation = !arena_.reads.empty() && rv_ + 1 != wv;
     if (need_validation) chaos_point(ChaosPoint::TxnValidate);
     if (need_validation && !validate_read_set()) {
-      throw ConflictAbort{AbortReason::ValidationFailed};
-    }
-    // Admitted unlocked reads are validated unconditionally: they carry no
-    // version, so neither the read-set check above nor its `rv_ + 1 == wv`
-    // shortcut speaks for them.
-    if (!arena_.seq_reads.empty() && !unlocked_reads_valid()) [[unlikely]] {
       throw ConflictAbort{AbortReason::ValidationFailed};
     }
   } catch (...) {
@@ -608,13 +546,25 @@ void Txn::rollback(AbortReason reason) noexcept {
     }
   }
 
-  undo_writes();
-  // Release with the displaced versions so readers never observe a version
-  // regression.
+  // Undo the in-place writes and release. A var written in place is
+  // released at a fresh version, one clock tick per aborting attempt: an
+  // invisible reader that copied our value between the lock and the undo
+  // (a raw Var read, a checkpoint copy, a guarded read's base traversal)
+  // re-checks the orec, and the displaced word would tell it nothing had
+  // changed. A lock with no write (Lazy's commit-time locks, an eager
+  // writer that yielded before writing) keeps the displaced version.
+  Version fresh = 0;
   for (std::size_t i = arena_.writes.size(); i-- > 0;) {
     detail::WriteEntry& e = arena_.writes[i];
+    Version release_at = e.lock.old_version;
+    if (e.wrote) {
+      std::memcpy(e.var->data_, e.undo.data(e.var->size_), e.var->size_);
+      e.wrote = false;
+      if (fresh == 0) fresh = stm_.generate_wv();
+      release_at = fresh;
+    }
     if (e.locked) {
-      e.var->orec_.unlock(e.lock.old_version);
+      e.var->orec_.unlock(release_at);
       e.locked = false;
     }
   }
@@ -668,12 +618,6 @@ void Txn::verify_teardown() noexcept {
   }
   if (!arena_.reader_marks.empty()) {
     chaos_->report_leak("visible-reader marks not cleared");
-  }
-  for (const TxnArena::SeqHold& h : arena_.seq_holds) {
-    if (h.word != nullptr) {
-      chaos_->report_leak("sequence word still pinned after finish hooks");
-      break;
-    }
   }
 }
 

@@ -17,8 +17,9 @@
 //                var's reader bitmap, writers that find foreign readers abort
 //                themselves. All conflicts are detected at encounter time,
 //                which is the premise of Theorem 5.2. Eager wrappers'
-//                reads over the optimistic LAP skip the bit and are
-//                sequence-validated instead (the unlocked read path below).
+//                reads over the optimistic LAP skip the bit: they are
+//                guarded reads (read_guarded below), invisible and logged
+//                in the read set as on EagerWrite.
 //
 // Hooks (the Proust integration points, §2 of the paper):
 //   on_abort         — inverse operations; run in reverse order while the
@@ -41,6 +42,7 @@
 #include <memory>
 #include <new>
 #include <shared_mutex>
+#include <type_traits>
 #include <utility>
 
 #include "stm/fwd.hpp"
@@ -114,57 +116,58 @@ class Txn {
   /// must not also take the shared side at commit).
   void set_gate_exempt(bool exempt) noexcept { gate_exempt_ = exempt; }
 
-  // --- Unlocked read path (DESIGN.md §12) --------------------------------
-  // Wrappers call these through AbstractLock::try_read_unlocked: a read-only
-  // operation of an eager wrapper traverses the base structure under its
-  // own synchronization (no abstract lock), then *admits* the observed
-  // result against the sequence word it saw stable around the traversal.
-  // Admission revalidates every previously admitted unlocked read and
-  // re-checks the new word — then records the entry so later admissions,
-  // every later stable access that skips this path (a locked read, a raw
-  // Var read or write, a pessimistic abstract-lock acquisition), timestamp
-  // extensions and the commit itself re-check it. A new word that failed to
-  // *hold still* returns false (caller takes the locked slow path); a
-  // genuine validation miss of an already-admitted read aborts the attempt
-  // (the mismatch is permanent — a word's entry count only grows).
-
-  /// May this attempt serve reads through the unlocked path at all? Not
-  /// while it holds the exclusive fallback gate.
-  bool fast_read_eligible() const noexcept { return !gate_exempt_; }
-
-  /// Admit an unlocked read observed while `*word` held the stable value
-  /// `observed`. True = recorded; false = discard the result and take the
-  /// locked slow path. May throw ConflictAbort (permanent miss). Runs only
-  /// on EagerAll, whose STM read set is always empty, so no clock cut is
-  /// needed.
-  bool admit_unlocked_read(const std::atomic<std::uint64_t>* word,
-                           std::uint64_t observed);
-
-  /// An access that went around the unlocked path (a locked wrapper read, a
-  /// raw Var read, a write, an abstract-lock acquisition) has just become
-  /// stable, so the body is about to see a value that no word brackets.
-  /// Abort with ValidationFailed unless every admitted unlocked read still
-  /// holds: otherwise the body could pair a value read before a commit with
-  /// one read after it. Free when nothing was admitted.
-  void revalidate_unlocked_reads();
-
-  /// Chaos gate for the fast path: true = an injected fault forces this
-  /// read onto the locked slow path (never aborts — the fallback IS the
-  /// failure path under test). The nullptr test inlines so the common
-  /// no-injection case costs one predicted branch per read.
-  bool chaos_fastpath_fallback() {
-    if (chaos_ == nullptr) [[likely]] return false;
-    return chaos_fastpath_fallback_slow();
+  // --- Guarded reads (DESIGN.md §12) ---------------------------------------
+  /// Run the read-only `op` on state that `guard` protects, as an invisible
+  /// read of `guard`: TinySTM's read with `op` in place of the value copy.
+  /// The orec is loaded, `op` runs, and the orec is re-loaded; an unchanged
+  /// unlocked word at or below the snapshot logs `(guard, version)` in the
+  /// read set, which extensions and the commit validate. A foreign lock
+  /// aborts (ReadLocked), as the locked read of `guard` would; this
+  /// attempt's own lock already holds the state still, so `op` runs and
+  /// nothing is logged. A version past the snapshot extends it first. Mutators of the guarded state must hold `guard`'s orec lock
+  /// across their mutation and its rollback (an eager CA write does), and a
+  /// rollback that wrote in place releases at a fresh version, so an `op`
+  /// that overlapped a mutation never finds the word unchanged. Defined
+  /// here: it runs once per wrapper read, and an out-of-line call costs
+  /// more than its loads.
+  template <class F>
+  std::invoke_result_t<F&> read_guarded(const VarBase& guard, F&& op) {
+    assert(active_);
+    chaos_point(ChaosPoint::TxnRead);
+    for (int spin = 0; spin < 4; ++spin) {
+      const std::uintptr_t w = guard.orec_.load();
+      if (Orec::is_locked(w)) {
+        if (Orec::owner_of(w)->owner != this) {
+          throw ConflictAbort{AbortReason::ReadLocked};
+        }
+        stats_.count_fastpath_hit();
+        return op();
+      }
+      const Version ver = Orec::version_of(w);
+      if (ver > rv_) {
+        extend_or_abort();
+        continue;
+      }
+      std::invoke_result_t<F&> result = op();
+      // Seqlock read side: `op`'s loads complete before the re-check.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (guard.orec_.load() == w) [[likely]] {
+        arena_.reads.push_back({&guard, ver});
+        stats_.count_fastpath_hit();
+        return result;
+      }
+    }
+    throw ConflictAbort{AbortReason::ReadVersion};
   }
 
-  /// Counted when an eligible read fell back to the locked slow path.
-  void note_fastpath_fallback() noexcept { stats_.count_fastpath_fallback(); }
-
-  /// This attempt's sequence-word pins (core/read_seq.hpp appends one per
-  /// distinct stripe a mutator touches; released by the owning table's
-  /// finish hook). Mirrors lock_holds().
-  std::vector<TxnArena::SeqHold>& seq_holds() noexcept {
-    return arena_.seq_holds;
+  /// A pessimistic abstract-lock acquisition touches no STM location, yet
+  /// the wrapper is about to read state that may postdate a commit which
+  /// also moved a guarded read's slot. On EagerAll, whose read set holds
+  /// only guarded reads, abort with ValidationFailed unless all of them
+  /// still hold. Free when the set is empty; a no-op on the other modes.
+  void revalidate_guarded_reads() {
+    if (mode_ != Mode::EagerAll || arena_.reads.empty()) [[likely]] return;
+    if (!validate_read_set()) throw ConflictAbort{AbortReason::ValidationFailed};
   }
 
   /// Abort this attempt and retry from the top of the atomically block.
@@ -304,13 +307,7 @@ class Txn {
   /// read time (or is locked by this transaction with that displaced
   /// version).
   bool validate_read_set() const noexcept;
-  /// Every admitted unlocked read still holds its observed word. A word
-  /// one own pin (`observed + kEntry`) ahead is excused when this attempt
-  /// pinned it (a read-then-mutate of the same stripe).
-  bool unlocked_reads_valid() const noexcept;
-  bool chaos_fastpath_fallback_slow();
-  bool holds_seq_word(const std::atomic<std::uint64_t>* word) const noexcept;
-  /// EagerWrite/Lazy timestamp extension on a too-new read.
+  /// Timestamp extension on a too-new read (the eager modes).
   void extend_or_abort();
   void run_commit_locked_hooks() noexcept;
   void enter_commit_fences() noexcept;
@@ -331,7 +328,6 @@ class Txn {
   void mark_reader(VarBase& var);
   void clear_reader_marks() noexcept;
   void release_locks(Version version) noexcept;
-  void undo_writes() noexcept;
   void reset_attempt_state() noexcept;
 
   /// One bit of a 64-bit pointer-hash summary of the write set; a clear bit
@@ -344,11 +340,6 @@ class Txn {
 
   /// Write sets at most this large are probed by linear scan.
   static constexpr std::size_t kSmallWriteSet = 8;
-
-  /// Cap on admitted unlocked reads per attempt: each admission revalidates
-  /// all prior entries, so the cap bounds that work at O(cap) per read. A
-  /// transaction past it simply uses the locked slow path for further reads.
-  static constexpr std::size_t kMaxUnlockedReads = 64;
 
   Stm& stm_;
   TxnArena& arena_;

@@ -13,7 +13,6 @@
 // Stm instances coexist.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -72,15 +71,6 @@ struct ReadEntry {
   Version version;
 };
 
-/// One admitted unlocked read against a per-stripe sequence word
-/// (core/read_seq.hpp): the word observed stable around the base traversal.
-/// Revalidated at every later admission, stable EagerAll access, timestamp
-/// extension and at commit; a mismatch means a mutator overlapped the read.
-struct SeqReadEntry {
-  const std::atomic<std::uint64_t>* word;
-  std::uint64_t observed;
-};
-
 }  // namespace detail
 
 struct TxnArena {
@@ -106,17 +96,6 @@ struct TxnArena {
     std::uint32_t writers;
   };
 
-  /// One sequence-word pin owned by the running attempt: an eager mutator
-  /// pinned `word` before its first base mutation of that stripe and the
-  /// owning ReadSeqTable's finish hook releases it once — after commit
-  /// (mutations stay) or after the inverse abort hooks ran (state restored).
-  /// `word == nullptr` marks a released record; reset_attempt asserts every
-  /// record was released.
-  struct SeqHold {
-    const void* group;  // the ReadSeqTable that owns the word
-    std::atomic<std::uint64_t>* word;
-  };
-
   std::vector<detail::ReadEntry> reads;
   ChunkPool<detail::WriteEntry, 32> writes;  // chunked: stable LockRecord addresses
   FlatPtrMap write_table;                    // engaged past the linear-scan window
@@ -135,11 +114,6 @@ struct TxnArena {
   BumpArena local_slab;
   std::vector<LockHold> lock_holds;
 
-  // Unlocked read path (DESIGN.md §12): admitted unlocked reads and
-  // the sequence words this attempt holds pinned as a mutator.
-  std::vector<detail::SeqReadEntry> seq_reads;
-  std::vector<SeqHold> seq_holds;
-
   // Durability (DESIGN.md §14): redo records staged by Txn::wal_log (and
   // the auto-serialized Var writes), published to the WAL at the commit
   // point. Abort discards them with the rest of the attempt — an aborted
@@ -151,8 +125,6 @@ struct TxnArena {
     reads.reserve(64);
     reader_marks.reserve(16);
     lock_holds.reserve(8);
-    seq_reads.reserve(16);
-    seq_holds.reserve(8);
   }
 
   /// The calling thread's arena (lazily constructed, lives until thread exit).
@@ -174,9 +146,6 @@ struct TxnArena {
              "abstract-lock stripe leaked past finish hooks");
     }
     assert(reader_marks.empty() && "visible-reader marks leaked");
-    for (const SeqHold& h : seq_holds) {
-      assert(h.word == nullptr && "sequence word left pinned past finish hooks");
-    }
 #endif
     reads.clear();
     writes.reset();
@@ -195,9 +164,6 @@ struct TxnArena {
     // Lock holds were already released by the owning LAPs' finish hooks
     // (which run before this reset); drop the records, keep the capacity.
     lock_holds.clear();
-    seq_reads.clear();
-    // Seq holds were already released by the owning tables' finish hooks.
-    seq_holds.clear();
     wal_buf.clear();
     wal_records = 0;
   }

@@ -56,13 +56,13 @@ std::size_t count_pairs(const ModelSpec& model);
 /// read fast path (DESIGN.md §12) assumes of the operations it admits
 /// without the abstract lock: if a wrapper routed a secretly-mutating
 /// method down the fast path, its base-structure write would bypass both
-/// the sequence-counter pin and the abstract lock.
+/// the CA slot's write lock and the abstract lock.
 bool is_read_only(const ModelSpec& model, const MethodSpec& method);
 
 /// The fast path's soundness side condition: every pair of read-only
 /// invocations commutes in every state (so unlocked readers can never
 /// conflict with *each other*; reader-vs-mutator interleavings are what the
-/// sequence-word validation handles). Returns the first read-only pair that
+/// guarded read's orec validation handles). Returns the first read-only pair that
 /// fails to commute — which would indicate a model whose "reads" observe
 /// order — or nullopt if the model is fast-path sound.
 std::optional<Counterexample> check_read_only_commutativity(

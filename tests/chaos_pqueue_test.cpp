@@ -51,6 +51,8 @@ class PQueueUnderTest {
   virtual void insert1(long v) = 0;
   virtual std::optional<long> remove_min1() = 0;
   virtual long size() const = 0;
+  /// The base container's structural check (quiescent; empty = sound).
+  virtual std::string check_invariants() const = 0;
 };
 
 template <class Lap, class PQ>
@@ -69,6 +71,9 @@ class Handle final : public PQueueUnderTest {
     return r;
   }
   long size() const override { return pq_.size(); }
+  std::string check_invariants() const override {
+    return pq_.check_invariants();
+  }
 
  private:
   stm::Stm stm_;
@@ -154,6 +159,7 @@ TEST_P(ChaosPQueueTest, ConservationUnderInjection) {
   }
   for (auto& th : ts) th.join();
   policy.remove_lock_hook();
+  EXPECT_EQ(pq->check_invariants(), "");
 
   // Drain what is left; removed ∪ drained must be exactly the inserted set
   // (each element once — a leaked insert or resurrected tombstone breaks it).

@@ -120,6 +120,7 @@ TEST(CowHeap, ConcurrentInsertersAllLand) {
   for (auto& th : ts) th.join();
   EXPECT_EQ(h.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   EXPECT_EQ(h.peek_min(), 0);
+  EXPECT_EQ(h.check_invariants(), "");
 }
 
 TEST(CowHeap, ConcurrentMixedDrainIsExact) {
@@ -140,6 +141,7 @@ TEST(CowHeap, ConcurrentMixedDrainIsExact) {
   for (auto& th : ts) th.join();
   EXPECT_EQ(h.size() + static_cast<std::size_t>(removed_count.load()),
             static_cast<std::size_t>(kThreads) * kPerThread);
+  EXPECT_EQ(h.check_invariants(), "");
 }
 
 TEST(BlockingPriorityQueue, PollsInSortedOrder) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,6 +41,8 @@ class PQueueUnderTest {
   virtual ~PQueueUnderTest() = default;
   virtual void atomically(const std::function<void(PQView&)>& body) = 0;
   virtual long size() const = 0;
+  /// The base container's structural check (quiescent; empty = sound).
+  virtual std::string check_invariants() const = 0;
 
   void insert1(long v) {
     atomically([&](PQView& q) { q.insert(v); });
@@ -89,6 +92,9 @@ class Handle final : public PQueueUnderTest {
     });
   }
   long size() const override { return pq_.size(); }
+  std::string check_invariants() const override {
+    return pq_.check_invariants();
+  }
 
  private:
   stm::Stm stm_;
@@ -256,6 +262,7 @@ TEST_P(CorePQueueTest, ConcurrentInsertsAllVisible) {
   for (auto& th : ts) th.join();
   EXPECT_EQ(pq_->size(), long{kThreads} * kPerThread);
   EXPECT_EQ(pq_->min1(), 0);
+  EXPECT_EQ(pq_->check_invariants(), "");
 }
 
 TEST_P(CorePQueueTest, ConcurrentMixedConservesElements) {
@@ -277,6 +284,7 @@ TEST_P(CorePQueueTest, ConcurrentMixedConservesElements) {
   }
   for (auto& th : ts) th.join();
   EXPECT_EQ(pq_->size() + removed.load(), long{kThreads} * kPerThread);
+  EXPECT_EQ(pq_->check_invariants(), "");
 }
 
 TEST_P(CorePQueueTest, ConcurrentRemoveMinsAreDistinctElements) {
@@ -307,6 +315,7 @@ TEST_P(CorePQueueTest, ConcurrentRemoveMinsAreDistinctElements) {
   }
   EXPECT_EQ(all.size(), count) << "a value was removed twice";
   EXPECT_EQ(static_cast<long>(count) + pq_->size(), kN);
+  EXPECT_EQ(pq_->check_invariants(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, CorePQueueTest,

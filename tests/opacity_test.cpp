@@ -11,7 +11,6 @@
 #include "core/lap.hpp"
 #include "core/lazy_hash_map.hpp"
 #include "core/txn_hash_map.hpp"
-#include "stm/chaos.hpp"
 #include "stm/stm.hpp"
 
 using namespace proust;
@@ -65,17 +64,13 @@ TEST(Opacity, LazyOptimisticRetriesAfterConflictingCommit) {
 
 // Theorem 5.2 mechanism on an eager-everything STM: a writer that would
 // invalidate an active reader's snapshot yields (aborts itself), so the
-// reader observes a stable value throughout its transaction. The wrapper's
-// reads run unlocked on EagerAll; a FastPathRead abort probability of 1
-// sends every one down the locked path, whose CA read sets the reader bit.
+// reader observes a stable value throughout its transaction. A lazy
+// wrapper reads through its CA lock in every mode, and on EagerAll that
+// read sets the slot's reader bit.
 TEST(Opacity, EagerAllWriterYieldsToVisibleReader) {
-  stm::ChaosConfig cc;
-  cc.at(stm::ChaosPoint::FastPathRead) = {.abort = 1.0, .timeout = 0,
-                                          .delay = 0};
-  stm::ChaosPolicy locked_reads(cc);
-  stm::Stm stm(stm::Mode::EagerAll, stm::StmOptions{.chaos = &locked_reads});
+  stm::Stm stm(stm::Mode::EagerAll);
   core::OptimisticLap<long> lap(stm, 64);
-  core::TxnHashMap<long, long, core::OptimisticLap<long>> map(lap);
+  core::LazyHashMap<long, long, core::OptimisticLap<long>> map(lap);
   map.unsafe_put(1, 10);
 
   std::atomic<int> stage{0};
@@ -114,13 +109,14 @@ TEST(Opacity, EagerAllWriterYieldsToVisibleReader) {
                 stm::AbortReason::VisibleReader)],
             1u)
       << "the writer must have yielded at least once";
-  EXPECT_EQ(s.fastpath_hits, 0u) << "every read took the locked path";
+  EXPECT_EQ(s.fastpath_hits, 0u) << "every read took the CA lock";
 }
 
-// The same race through the wrapper's own (unlocked) read: the reader sets
-// no bit, so the writer commits at once instead of yielding, and the
-// reader's second read finds the first one's sequence word moved and aborts
-// its attempt with ValidationFailed. No attempt ever pairs 10 with 99.
+// The same race through an eager wrapper's guarded read: the reader sets no
+// bit, so the writer commits at once instead of yielding. The reader's
+// second read finds the slot's version past its snapshot, and the extension
+// finds the first read's entry moved and aborts the attempt with
+// ValidationFailed. No attempt ever pairs 10 with 99.
 TEST(Opacity, EagerAllWrapperReadRevalidatesInsteadOfBlockingWriter) {
   stm::Stm stm(stm::Mode::EagerAll);
   core::OptimisticLap<long> lap(stm, 64);

@@ -1,17 +1,14 @@
-// Differential tests for the unlocked read path (DESIGN.md §12):
-// sequence-validated unlocked reads racing mutators across the map-config
-// matrix, read-your-writes through the admission layer, stats accounting
-// per the rule that picks each wrapper's read path, and a chaos column that
-// forces fallbacks at the FastPathRead injection point. The invariant under
-// test is always the same: a transaction that reads a pair of keys the
-// writers only ever update *together* must see equal values — in its body
-// on every attempt (opacity), not only in the attempts that commit. Three
-// cases replay the interleavings that broke it: two pins on one stripe, a
-// locked read after an unlocked one, and a pessimistic wrapper's read after
-// an unlocked one. The ReadSeqTable cases at the end pin
-// the sequence words' pin/release contract, and that wrappers pin (and
-// build their tables) exactly on the rule's unlocked side: eager wrappers
-// over the optimistic LAP on EagerAll.
+// Differential tests for the unlocked read path (DESIGN.md §12): guarded
+// wrapper reads, validated against their CA slot's orec, racing mutators
+// across the map-config matrix and under chaos, read-your-writes, and stats
+// accounting per the rule that picks each wrapper's read path. The
+// invariant under test is always the same: a transaction that reads a pair
+// of keys the writers only ever update *together* must see equal values —
+// in its body on every attempt (opacity), not only in the attempts that
+// commit. Four cases replay interleavings that broke it in earlier
+// protocols: two writers in flight on one base stripe, a locked read after
+// an unlocked one, a pessimistic wrapper's read after an unlocked one, and
+// a guarded read that spans a writer's in-place write and rollback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +21,6 @@
 
 #include "common/hashing.hpp"
 #include "core/lap.hpp"
-#include "core/read_seq.hpp"
 #include "core/txn_hash_map.hpp"
 #include "core/txn_ordered_map.hpp"
 #include "core/txn_pqueue.hpp"
@@ -39,7 +35,6 @@ using namespace std::chrono_literals;
 namespace {
 
 constexpr long kHalf = 32;
-constexpr std::uint64_t kEntry = stm::CommitFence::kEntry;
 
 /// Does `cfg` serve reads unlocked under the rule? Only an eager wrapper on
 /// EagerAll does: every EagerAll config in the matrix is over the optimistic
@@ -125,8 +120,8 @@ long find_key(long from, Pred&& pred) {
 }
 
 // The hole tests' map: M=256 CA slots over a 64-stripe base, as in the
-// matrix's eager_opt_eagerall config, so keys can share a base stripe (and
-// its sequence word) while sitting on different CA slots.
+// matrix's eager_opt_eagerall config, so keys can share a base stripe
+// while sitting on different CA slots.
 using HoleLap = core::OptimisticLap<long>;
 using HoleMap = core::TxnHashMap<long, long, HoleLap>;
 constexpr std::size_t kCaSlots = 256;
@@ -150,9 +145,9 @@ TEST(ReadFastPath, PairConsistencyAcrossConfigs) {
 TEST(ReadFastPath, ReadYourWritesThroughAdmission) {
   // The unlocked path must never serve a read that has a pending
   // transactional write behind it: eager wrappers have already mutated the
-  // base (and hold the self-pinned sequence word); lazy wrappers route
-  // engaged-log reads down the locked path. Either way the transaction sees
-  // its own effects.
+  // base (and hold the CA slot's lock, so the guarded read runs under it);
+  // lazy wrappers route engaged-log reads down the locked path. Either way
+  // the transaction sees its own effects.
   for (const auto& cfg : all_map_configs()) {
     auto map = cfg.make();
     map->atomically([&](MapView& m) {
@@ -184,8 +179,8 @@ TEST(ReadFastPath, StatsRecordHitsWhenEnabled) {
 }
 
 TEST(ReadFastPath, StatsSilentWhenDisabled) {
-  // Everywhere else reads take the lock and never try the unlocked path,
-  // the lazy wrappers on EagerAll included.
+  // Everywhere else reads take the lock and never run a guarded read, the
+  // lazy wrappers on EagerAll included.
   int lazy_eagerall = 0;
   for (const auto& cfg : opaque_map_configs()) {
     auto map = cfg.make();
@@ -195,45 +190,14 @@ TEST(ReadFastPath, StatsSilentWhenDisabled) {
     for (int i = 0; i < 16; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
     const auto s = map->stats();
     EXPECT_EQ(s.fastpath_hits, 0u) << cfg.name;
-    EXPECT_EQ(s.fastpath_fallbacks, 0u) << cfg.name;
   }
   EXPECT_EQ(lazy_eagerall, 2) << "lazy_memo_eagerall and lazy_snap_eagerall";
-}
-
-TEST(ReadFastPath, ChaosForcesEveryAdmissionToFallBack) {
-  // A FastPathRead abort-probability of 1 coerces every admission attempt
-  // into the locked slow path — results must be unchanged and every forced
-  // fallback must be visible in the stats. Configs on the locked side, the
-  // lazy wrappers on EagerAll included, never reach the injection point.
-  stm::ChaosConfig cc;
-  cc.seed = 42;
-  cc.at(stm::ChaosPoint::FastPathRead) = {.abort = 1.0, .timeout = 0,
-                                          .delay = 0};
-  stm::ChaosPolicy chaos(cc);
-  stm::StmOptions o;
-  o.chaos = &chaos;
-  int lazy_eagerall = 0;
-  for (const auto& cfg : opaque_map_configs()) {
-    if (cfg.name.rfind("baseline_", 0) == 0) continue;
-    auto map = cfg.make_with(o);
-    if (lazy_on_eagerall(cfg, *map)) ++lazy_eagerall;
-    map->put1(1, 10);
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(map->get1(1), 10) << cfg.name;
-    const auto s = map->stats();
-    EXPECT_EQ(s.fastpath_hits, 0u) << cfg.name;
-    if (reads_unlocked(cfg, *map)) {
-      EXPECT_GT(s.fastpath_fallbacks, 0u) << cfg.name;
-    } else {
-      EXPECT_EQ(s.fastpath_fallbacks, 0u) << cfg.name;
-    }
-  }
-  EXPECT_EQ(lazy_eagerall, 2) << "lazy_memo_eagerall and lazy_snap_eagerall";
-  EXPECT_EQ(chaos.leaks(), 0u) << "seed=" << chaos.seed();
 }
 
 TEST(ReadFastPath, PairConsistencyUnderAggressiveChaos) {
   // The full chaos column: spurious aborts, forced LAP timeouts, injected
-  // delays at every point including FastPathRead, racing the pair invariant.
+  // delays at every point, guarded reads' TxnRead included, racing the pair
+  // invariant.
   for (const auto& cfg : opaque_map_configs()) {
     if (cfg.name.rfind("baseline_", 0) == 0) continue;
     stm::ChaosPolicy chaos(stm::ChaosConfig::aggressive(7));
@@ -337,11 +301,12 @@ TEST(ReadFastPath, PQueueMinRacesChurn) {
 }
 
 TEST(ReadFastPath, TwoPinsOnOneStripeKeepItUnstable) {
-  // Two writers on different CA slots of one base stripe pin its word
-  // together and stay in flight; a reader of one writer's key must not
-  // return the uncommitted value. With one parity bit the two pins read
-  // even and the reader admitted, and committed, the writer's 99; both
-  // writers then roll back.
+  // Two writers on different CA slots of one base stripe stay in flight
+  // with their puts applied; a reader of one writer's key must not return
+  // the uncommitted value. It finds that key's slot locked and retries
+  // until the writer has rolled back. (The name is the earlier protocol's:
+  // there both writers pinned the stripe's sequence word, and with one
+  // parity bit the two pins read even and the reader committed the 99.)
   stm::Stm stm(stm::Mode::EagerAll);
   HoleLap lap(stm, kCaSlots);
   HoleMap map(lap, kStripes);
@@ -388,11 +353,11 @@ TEST(ReadFastPath, TwoPinsOnOneStripeKeepItUnstable) {
 
 TEST(ReadFastPath, LockedReadRevalidatesEarlierUnlockedReads) {
   // An attempt reads `a` unlocked; then a transaction commits a:=1, b:=1,
-  // and a third holds a put of `c` (b's stripe, another CA slot) in flight,
-  // so the attempt's read of `b` falls back to the locked path. That read
-  // must revalidate `a` before the body sees `b`: without it the body saw
-  // a=0, b=1 on the first attempt, and only the commit's validation
-  // rejected it.
+  // and a third holds a put of `c` (b's stripe, another CA slot) in flight.
+  // The attempt's read of `b` must revalidate `a` before the body sees `b`:
+  // b's slot is past the snapshot, and the extension finds a's entry moved.
+  // (With per-stripe sequence words, c's put sent this read down a locked
+  // path that checked nothing, and the body saw a=0, b=1.)
   stm::Stm stm(stm::Mode::EagerAll);
   HoleLap lap(stm, kCaSlots);
   HoleMap map(lap, kStripes);
@@ -497,100 +462,45 @@ TEST(ReadFastPath, PessimisticReadRevalidatesEarlierUnlockedReads) {
   EXPECT_EQ(attempts, 2);
 }
 
-// --- ReadSeqTable pin/release contract ---------------------------------------
-// A mutator pins a stripe's word at most once per attempt (one entry, one
-// active pinner), and the table's finish hook releases it on every outcome.
-
-TEST(ReadSeqTable, RepinIsANoOpAndCommitReleases) {
-  core::ReadSeqTable table(8);
-  EXPECT_EQ(table.stripes(), 8u);
-  EXPECT_EQ(table.word(3), table.word(11));  // stripe index is masked
-  stm::Stm stm(stm::Mode::Lazy);
-  stm.atomically([&](stm::Txn& tx) {
-    table.writer_pin(tx, 3);
-    table.writer_pin(tx, 3);
-    EXPECT_EQ(table.load(3), kEntry);  // pinned once, not twice
-    EXPECT_FALSE(core::ReadSeqTable::stable(table.load(3)));
-    EXPECT_EQ(table.load(4), 0u);
-  });
-  EXPECT_EQ(table.load(3), kEntry - 1);  // one entry, no active pinner
-  EXPECT_TRUE(core::ReadSeqTable::stable(table.load(3)));
-  EXPECT_EQ(table.load(4), 0u);
-}
-
-TEST(ReadSeqTable, UserExceptionAbortReleases) {
-  core::ReadSeqTable table(4);
-  stm::Stm stm(stm::Mode::Lazy);
+TEST(ReadFastPath, RolledBackWriteMovesTheGuard) {
+  // A guarded read whose op spans a writer's lock of the guard, its
+  // in-place base mutation and its rollback. The rollback restores the base
+  // and releases the guard at a fresh version, so the read's re-check finds
+  // the orec moved and re-runs the op. Released at its displaced version,
+  // the orec word would equal the one the read loaded first, and the read
+  // would return the 99 that the rollback took back.
+  stm::Stm stm(stm::Mode::EagerAll);
+  stm::Var<std::uint64_t> guard;
+  std::atomic<long> base{1};
+  std::atomic<int> stage{0};
   struct Bail {};
-  EXPECT_THROW(stm.atomically([&](stm::Txn& tx) {
-                 table.writer_pin(tx, 1);
-                 throw Bail{};
-               }),
-               Bail);
-  EXPECT_EQ(table.load(1), kEntry - 1);
-}
-
-TEST(ReadSeqTable, ConflictRetryReleasesBeforeRepinning) {
-  core::ReadSeqTable table(4);
-  stm::Stm stm(stm::Mode::Lazy);
-  std::vector<std::uint64_t> seen;  // word before and after each attempt's pin
-  int attempts = 0;
-  stm.atomically([&](stm::Txn& tx) {
-    seen.push_back(table.load(1));
-    table.writer_pin(tx, 1);
-    seen.push_back(table.load(1));
-    if (++attempts == 1) tx.retry(stm::AbortReason::ValidationFailed);
+  std::thread writer([&] {
+    await(stage, 1);  // the reader loaded the guard's orec
+    EXPECT_THROW(stm.atomically([&](stm::Txn& tx) {
+                   tx.write(guard, std::uint64_t{7});
+                   base.store(99);
+                   tx.on_abort([&] { base.store(1); });
+                   stage.store(2, std::memory_order_release);
+                   await(stage, 3);  // the reader copied the 99
+                   throw Bail{};
+                 }),
+                 Bail);
+    stage.store(4, std::memory_order_release);
   });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, kEntry, kEntry - 1,
-                                              2 * kEntry - 1}));
-  EXPECT_EQ(table.load(1), 2 * kEntry - 2);
-}
-
-TEST(ReadSeqTable, WrappersPinExactlyOnTheUnlockedSide) {
-  // Nothing reads the sequence words unless the wrapper's reads run
-  // unlocked, which the rule grants the optimistic LAP on EagerAll only:
-  // there every eager wrapper pins; on Lazy, and over the pessimistic LAP
-  // in any mode, a mutation pins nothing and no table is built.
-  using MapLap = core::OptimisticLap<long>;
-  using StripeLap = core::OptimisticLap<std::size_t, core::StripeHasher>;
-  using PqOptLap =
-      core::OptimisticLap<core::PQueueState, core::PQueueStateHasher>;
-  using PqPessLap = core::PessimisticLap<core::PQueueState>;
-  for (const stm::Mode mode : {stm::Mode::Lazy, stm::Mode::EagerAll}) {
-    SCOPED_TRACE(stm::to_string(mode));
-    stm::Stm stm(mode);
-    MapLap map_lap(stm, 64);
-    StripeLap stripe_lap(stm, 64);
-    PqOptLap pq_opt_lap(stm, 2);
-    PqPessLap pq_pess_lap(stm, 8);
-    core::TxnHashMap<long, long, MapLap> map(map_lap, 16);
-    core::TxnOrderedMap<long, StripeLap> ordered(stripe_lap, 0, 1023, 16);
-    core::TxnPriorityQueue<long, PqOptLap> pq_opt(pq_opt_lap);
-    core::TxnPriorityQueue<long, PqPessLap> pq_pess(pq_pess_lap);
-    std::vector<std::size_t> holds;  // seq_holds() after each mutation
-    stm.atomically([&](stm::Txn& tx) {
-      holds.clear();
-      map.put(tx, 1, 10);
-      holds.push_back(tx.seq_holds().size());
-      (void)map.remove(tx, 1);
-      holds.push_back(tx.seq_holds().size());
-      ordered.put(tx, 5, 50);
-      holds.push_back(tx.seq_holds().size());
-      (void)ordered.remove(tx, 5);
-      holds.push_back(tx.seq_holds().size());
-      pq_opt.insert(tx, 7);
-      holds.push_back(tx.seq_holds().size());
-      (void)pq_opt.remove_min(tx);
-      holds.push_back(tx.seq_holds().size());
-      pq_pess.insert(tx, 7);
-      holds.push_back(tx.seq_holds().size());
-      (void)pq_pess.remove_min(tx);
-      holds.push_back(tx.seq_holds().size());
+  int ops = 0;
+  const long seen = stm.atomically([&](stm::Txn& tx) {
+    return tx.read_guarded(guard, [&] {
+      if (++ops > 1) return base.load();
+      stage.store(1, std::memory_order_release);
+      await(stage, 2);  // the writer holds the guard, base is 99
+      const long v = base.load();
+      stage.store(3, std::memory_order_release);
+      await(stage, 4);  // the writer rolled back
+      return v;
     });
-    const std::vector<std::size_t> expected =
-        mode == stm::Mode::EagerAll
-            ? std::vector<std::size_t>{1, 1, 2, 2, 3, 3, 3, 3}
-            : std::vector<std::size_t>(8, 0);
-    EXPECT_EQ(holds, expected);
-  }
+  });
+  writer.join();
+  EXPECT_EQ(seen, 1) << "the read returned a value the rollback took back";
+  EXPECT_EQ(ops, 2);
+  EXPECT_EQ(guard.unsafe_ref(), 0u);
 }

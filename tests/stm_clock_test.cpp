@@ -3,8 +3,9 @@
 //  - snapshot consistency and per-thread monotonicity under every mode (the
 //    `rv + 1 == wv` validation skip is what these stresses would catch if
 //    it were taken unsoundly);
-//  - per-orec versions strictly increase, and a read that extends its
-//    snapshot re-reads instead of trusting its pre-extension copy;
+//  - per-orec versions strictly increase, a read that extends its snapshot
+//    re-reads instead of trusting its pre-extension copy, and an aborted
+//    in-place write releases its var at a fresh version;
 //  - stamp blocks: globally unique, strictly increasing per thread, and
 //    never colliding or repeating across thread exit and slot reuse.
 #include <gtest/gtest.h>
@@ -166,6 +167,34 @@ TEST(GlobalClock, EagerExtensionRereadsInsteadOfTrustingStaleCopy) {
   EXPECT_FALSE(torn.load()) << "a committed snapshot mixed two commits";
   EXPECT_EQ(a.unsafe_ref(), long{kWriters} * kTxnsPerThread);
   EXPECT_EQ(b.unsafe_ref(), a.unsafe_ref());
+}
+
+// An aborted attempt that wrote in place restores the value and releases
+// the var at a fresh version, drawn from the clock: an invisible reader
+// that copied the uncommitted bytes then cannot find the orec word it
+// loaded first. Lazy never writes in place, so its aborted write leaves the
+// version alone.
+TEST(GlobalClock, AbortedInPlaceWriteReleasesAFreshVersion) {
+  for (const Mode mode : {Mode::Lazy, Mode::EagerWrite, Mode::EagerAll}) {
+    SCOPED_TRACE(to_string(mode));
+    Stm stm(mode);
+    Var<long> v(5);
+    stm.atomically([&](Txn& tx) { v.write(tx, 6); });
+    const Version before = v.unsafe_version();
+    struct Bail {};
+    EXPECT_THROW(stm.atomically([&](Txn& tx) {
+                   v.write(tx, 99);
+                   throw Bail{};
+                 }),
+                 Bail);
+    EXPECT_EQ(v.unsafe_ref(), 6);
+    if (mode == Mode::Lazy) {
+      EXPECT_EQ(v.unsafe_version(), before);
+    } else {
+      EXPECT_GT(v.unsafe_version(), before);
+      EXPECT_LE(v.unsafe_version(), stm.clock_now());
+    }
+  }
 }
 
 // --- Stamp blocks -----------------------------------------------------------

@@ -199,13 +199,13 @@ TEST(CheckCA, PairCountMatchesEnumeration) {
   EXPECT_EQ(count_pairs(m), 4u * 36u);
 }
 
-// --- Read-only soundness for the optimistic fast path (DESIGN.md §12) ---
-// The fast path admits exactly the operations the wrappers route through
-// try_read_unlocked; these tests pin down the model-level justification:
-// those methods are state-preserving in every reachable state, and any two
-// of them commute everywhere (so unlocked readers cannot conflict with each
-// other — only the reader-vs-mutator case remains, which the sequence-word
-// validation covers).
+// --- Read-only soundness for the unlocked read path (DESIGN.md §12) ---
+// The unlocked path serves exactly the operations the wrappers route
+// through AbstractLock::read; these tests pin down the model-level
+// justification: those methods are state-preserving in every reachable
+// state, and any two of them commute everywhere (so unlocked readers cannot
+// conflict with each other — only the reader-vs-mutator case remains,
+// which the guarded read's orec validation covers).
 
 namespace {
 const MethodSpec& method_named(const ModelSpec& m, const std::string& name) {
